@@ -48,7 +48,9 @@ TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-8
 TRACE_DRIFT_MAX = 1e-9
 RESIDUAL_TOL = 1e-10
-DENSE_FALLBACK_DIM2 = 10_000
+GMRES_RTOL = 1e-13
+GMRES_RESTART = 50
+GMRES_CYCLES = 2  # restarts: at most 100 iterations before the LU fallback
 
 
 @dataclass(frozen=True)
@@ -290,9 +292,112 @@ def closure_defect(rho, spec: HilbertSpec) -> float:
     return abs(bsz + b_) / abs(b_)
 
 
-def _replace_trace_row(liou: Liouvillian) -> sp.csc_matrix:
-    """Row 0 of the generator (a diagonal-element row, hence redundant by
-    trace preservation) swapped for the trace functional."""
+def _residual(liou: Liouvillian, x: np.ndarray) -> float:
+    return float(np.linalg.norm(liou.matrix @ x))
+
+
+def _solve_structured(liou: Liouvillian) -> tuple[np.ndarray | None, int, bool]:
+    """Vacuum-fixed GMRES in excitation order: (trace-normalized vec(rho),
+    iterations, converged), or (None, 0, False) when the preconditioner is
+    singular.
+
+    |i><j| carries the excitation pair (n1, n2), n = qubit + n_a + n_b.
+    Apart from the probe, the generator conserves n1 - n2 and its jumps
+    lower n1 + n2, so in (n1 + n2, n1) order its probe-free part is block
+    triangular: LU in that natural order fills in only inside the diagonal
+    blocks.  That LU preconditions GMRES on the driven system, in which
+    rho[0, 0] = 1 replaces the vacuum row (redundant by trace preservation)
+    and unknown.
+    """
+    q, na, nb = np.indices((2, liou.spec.n_a, liou.spec.n_b)).reshape(3, -1)
+    n = q + na + nb
+    n1, n2 = np.tile(n, liou.dim), np.repeat(n, liou.dim)
+    order = np.lexsort((n1, n1 + n2))  # the vacuum alone has n1 + n2 = 0
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size) - 1
+
+    coo = liou.matrix.tocoo()
+    row, col = rank[coo.row], rank[coo.col]
+    body = (row >= 0) & (col >= 0)
+    keep = body & ((n1 - n2)[coo.row] == (n1 - n2)[coo.col])
+    shape = (liou.dim2 - 1, liou.dim2 - 1)
+    a = sp.csr_matrix((coo.data[body], (row[body], col[body])), shape=shape)
+    pre = sp.csc_matrix((coo.data[keep], (row[keep], col[keep])), shape=shape)
+    rhs = np.zeros(shape[0], dtype=complex)
+    source = (row >= 0) & (col < 0)
+    rhs[row[source]] = -coo.data[source]
+
+    try:
+        lu = spla.splu(pre, permc_spec="NATURAL")
+    except RuntimeError:  # the undriven generator has no unique fixed point
+        return None, 0, False
+    y, iterations, converged = _gmres(a, lu.solve, rhs)
+    x = np.empty(liou.dim2, dtype=complex)
+    x[order] = np.concatenate(([1.0], y))
+    return x / (liou.trace_vector() @ x), iterations, converged
+
+
+def _gmres(a, precond, b: np.ndarray) -> tuple[np.ndarray, int, bool]:
+    """Left-preconditioned restarted GMRES: (x, iterations, converged), where
+    converged means ||b - a x|| <= GMRES_RTOL ||b||.
+
+    Modified Gram-Schmidt Arnoldi with Givens rotations, as scipy's gmres,
+    but the Krylov update is an einsum: scipy's ``y @ V`` is a threaded BLAS
+    gemv whose OpenBLAS workers then spin on the other cores long after the
+    solve returns.  (numpy's vdot and norm stay on one thread up to 10000
+    elements, truncation (7, 7).)
+    """
+    x = np.zeros_like(b)
+    target = GMRES_RTOL * np.linalg.norm(b)
+    if target == 0.0:
+        return x, 0, True
+    ptol = GMRES_RTOL * np.linalg.norm(precond(b))
+    m = GMRES_RESTART
+    basis = np.empty((m + 1, b.size), dtype=complex)
+    h = np.zeros((m + 1, m), dtype=complex)
+    rot = np.zeros((m, 2), dtype=complex)  # (c, s) with real s
+    iterations = 0
+    for _ in range(GMRES_CYCLES):
+        z = precond(b - a @ x)
+        g = np.zeros(m + 1, dtype=complex)
+        g[0] = np.linalg.norm(z)
+        basis[0] = z / g[0]
+        for k in range(m):
+            w = precond(a @ basis[k])
+            for j in range(k + 1):
+                h[j, k] = np.vdot(basis[j], w)
+                w -= h[j, k] * basis[j]
+            h1 = np.linalg.norm(w)
+            basis[k + 1] = w / h1 if h1 > 0.0 else 0.0
+            for j, (c, s) in enumerate(rot[:k]):
+                h[j, k], h[j + 1, k] = (c.conjugate() * h[j, k] + s * h[j + 1, k],
+                                        c * h[j + 1, k] - s * h[j, k])
+            r = np.hypot(abs(h[k, k]), h1)
+            if r == 0.0:  # singular Hessenberg: leave it to the fallback
+                return x, iterations, False
+            rot[k] = h[k, k] / r, h1 / r
+            h[k, k] = r
+            g[k], g[k + 1] = rot[k, 0].conjugate() * g[k], -rot[k, 1] * g[k]
+            iterations += 1
+            if abs(g[k + 1]) <= ptol or h1 == 0.0:
+                break
+        n = k + 1
+        y = g[:n].copy()
+        for i in range(n - 1, -1, -1):  # back substitution in the rotated H
+            y[i] = (y[i] - h[i, i + 1:n] @ y[i + 1:]) / h[i, i]
+        x += np.einsum("k,kn->n", y, basis[:n])
+        residual = np.linalg.norm(b - a @ x)
+        if residual <= target:
+            return x, iterations, True
+        ptol = abs(g[n]) * min(0.25, target / residual)  # scipy's restart rule
+    return x, iterations, False
+
+
+def _solve_lu(liou: Liouvillian, threshold: float) -> np.ndarray:
+    """Reference route: LU of the generator with row 0 (a diagonal-element
+    row, hence redundant by trace preservation) swapped for the trace
+    functional, plus iterative refinement.  Returns vec(rho) once its
+    residual meets ``threshold``."""
     coo = liou.matrix.tocoo()
     keep = coo.row != 0
     dim = liou.dim
@@ -301,58 +406,72 @@ def _replace_trace_row(liou: Liouvillian) -> sp.csc_matrix:
         [coo.col[keep], (np.arange(dim) * (dim + 1)).astype(coo.col.dtype)]
     )
     data = np.concatenate([coo.data[keep], np.ones(dim, dtype=coo.data.dtype)])
-    return sp.coo_matrix((data, (rows, cols)), shape=coo.shape).tocsc()
-
-
-def steady_state_dm(liou: Liouvillian) -> DensityMatrix:
-    """Unique fixed point of the generator, by direct factorization.
-
-    Solves the trace-replaced sparse system with LU, applies iterative
-    refinement, and checks the residual ||L vec(rho)||_2 against
-    1e-10 * max|L entries|.  Falls back to a dense solve for small systems
-    if the sparse route disappoints; rank deficiency beyond the trace
-    direction raises DegenerateSteadyStateError.
-    """
-    m = _replace_trace_row(liou)
+    m = sp.coo_matrix((data, (rows, cols)), shape=coo.shape).tocsc()
     rhs_ = np.zeros(liou.dim2, dtype=complex)
     rhs_[0] = 1.0
-    threshold = RESIDUAL_TOL * float(np.abs(liou.matrix.data).max())
 
-    x = None
     try:
         lu = spla.splu(m)
-        x = lu.solve(rhs_)
-        for _ in range(2):
-            r = rhs_ - m @ x
-            if np.linalg.norm(r) <= 1e-14 * np.linalg.norm(x):
-                break
-            x = x + lu.solve(r)
     except RuntimeError as exc:  # singular factor
         if "singular" in str(exc).lower():
             raise DegenerateSteadyStateError(
                 "generator is rank deficient beyond the trace direction"
             ) from exc
-        x = None
+        raise SolverError(f"steady-state factorization failed: {exc}") from exc
+    x = lu.solve(rhs_)
+    for _ in range(2):
+        r = rhs_ - m @ x
+        if np.linalg.norm(r) <= 1e-14 * np.linalg.norm(x):
+            break
+        x = x + lu.solve(r)
 
-    def residual(v) -> float:
-        return float(np.linalg.norm(liou.matrix @ v))
+    residual = _residual(liou, x)
+    if not residual <= threshold:  # also catches a non-finite solution
+        raise SolverError(
+            f"steady-state residual {residual:.3e} exceeds {threshold:.3e}"
+        )
+    return x
 
-    if x is None or not np.all(np.isfinite(x)) or residual(x) > threshold:
-        if liou.dim2 < DENSE_FALLBACK_DIM2:
-            md = liou.matrix.toarray()
-            md[0, :] = liou.trace_vector()
-            try:
-                x = np.linalg.solve(md, rhs_)
-            except np.linalg.LinAlgError as exc:
-                raise DegenerateSteadyStateError(
-                    "generator is rank deficient beyond the trace direction"
-                ) from exc
-        if x is None or residual(x) > threshold:
-            raise SolverError(
-                f"steady-state residual {residual(x) if x is not None else np.inf:.3e} "
-                f"exceeds {threshold:.3e}"
+
+def steady_state_dm(liou: Liouvillian, info: dict | None = None) -> DensityMatrix:
+    """Unique fixed point of the generator.
+
+    Runs GMRES on the excitation-ordered system with the vacuum population
+    fixed, preconditioned by the LU of its probe-free part (see
+    ``_solve_structured``).  If that factor is singular, GMRES does not
+    converge, or the residual ||L vec(rho)||_2 exceeds 1e-10 * max|L
+    entries|, it falls back to the LU of the trace-replaced generator, whose
+    residual is held to the same bound.  Rank deficiency beyond the trace
+    direction raises DegenerateSteadyStateError, a missed residual
+    SolverError.  ``info``, if given, receives the route taken
+    ("structured" or "lu"), the GMRES iterations, the residual and its
+    threshold.
+    """
+    threshold = RESIDUAL_TOL * float(np.abs(liou.matrix.data).max())
+    route = "structured"
+    x, iterations, converged = _solve_structured(liou)
+    residual = np.inf if x is None else _residual(liou, x)
+    if not (converged and residual <= threshold):
+        if x is not None:
+            log.warning(
+                "structured steady state missed: GMRES %s after %d iterations, "
+                "residual %.3e, threshold %.3e; falling back to LU",
+                "converged" if converged else "did not converge",
+                iterations, residual, threshold,
             )
+        route = "lu"
+        x = _solve_lu(liou, threshold)
+        residual = _residual(liou, x)
 
+    log.debug(
+        "steady_state_dm: %s route, %d iterations, residual %.3e of %.3e",
+        route, iterations, residual, threshold,
+    )
+    if info is not None:
+        info.update(
+            route=route, iterations=iterations, residual=residual,
+            threshold=threshold,
+        )
     s = _unvec(x, liou.dim)
     return DensityMatrix(0.5 * (s + s.conj().T))
 

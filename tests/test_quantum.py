@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import replace
 
@@ -28,6 +29,8 @@ from nit_sim import (
     trace_distance,
     vacuum_state,
 )
+from nit_sim.quantum import GMRES_RESTART, GMRES_RTOL, _gmres, _solve_lu
+from nit_sim.spectra import detuning_grid
 
 from conftest import decoupled_system, matched_system, weak_drive_system
 
@@ -189,8 +192,10 @@ class TestLiouvillian:
 class TestSteadyState:
     def test_undriven_system_relaxes_to_vacuum(self):
         liou = build_liouvillian(matched_system(epsilon=0.0), HilbertSpec(3, 3))
-        rho = steady_state_dm(liou)
+        info: dict = {}
+        rho = steady_state_dm(liou, info=info)
         assert trace_distance(rho, vacuum_state(HilbertSpec(3, 3))) < 1e-12
+        assert info["route"] == "structured" and info["iterations"] == 0
 
     def test_decoupled_drive_gives_coherent_state(self):
         spec = HilbertSpec(8, 2)
@@ -203,9 +208,47 @@ class TestSteadyState:
 
     def test_residual_certificate(self):
         liou = build_liouvillian(weak_drive_system(), SPEC44)
-        rho = steady_state_dm(liou)
+        info: dict = {}
+        rho = steady_state_dm(liou, info=info)
         resid = np.linalg.norm(liou.matrix @ rho.matrix.ravel(order="F"))
         assert resid <= 1e-10 * float(np.abs(liou.matrix.data).max())
+        assert info["route"] == "structured" and info["iterations"] > 0
+        assert info["threshold"] == 1e-10 * float(np.abs(liou.matrix.data).max())
+        assert info["residual"] <= info["threshold"]
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(delta_b_offset=0.07, delta_q_offset=-0.05), dict(epsilon=0.3)],
+        ids=["offsets", "eps0.3"],
+    )
+    def test_structured_route_matches_lu_reference(self, overrides):
+        spec = HilbertSpec(5, 5)
+        a_op = build_operators(spec).a
+        worst = 0.0
+        for d in detuning_grid(-1.5, 1.5, 11):
+            liou = build_liouvillian(
+                weak_drive_system(delta_p=float(d), **overrides), spec
+            )
+            info: dict = {}
+            a_fast = expectation(a_op, steady_state_dm(liou, info=info))
+            assert info["route"] == "structured"
+            x = _solve_lu(liou, info["threshold"])
+            a_ref = expectation(a_op, x.reshape(spec.dim, spec.dim, order="F"))
+            worst = max(worst, abs(a_fast - a_ref) / abs(a_ref))
+        assert worst <= 1e-12
+
+    def test_strong_drive_falls_back_to_lu(self, caplog):
+        liou = build_liouvillian(
+            weak_drive_system(epsilon=1.0, delta_p=0.3), HilbertSpec(5, 5)
+        )
+        info: dict = {}
+        with caplog.at_level(logging.WARNING, logger="nit_sim.quantum"):
+            rho = steady_state_dm(liou, info=info)
+        assert info["route"] == "lu"
+        assert "falling back to LU" in caplog.text
+        resid = np.linalg.norm(liou.matrix @ rho.matrix.ravel(order="F"))
+        assert resid <= info["threshold"]
+        assert info["residual"] <= info["threshold"]
 
     @pytest.mark.parametrize("delta_p", [0.0, 0.3])
     def test_matches_closed_form_at_weak_drive(self, delta_p):
@@ -240,9 +283,24 @@ class TestSteadyState:
         )
         assert abs(a44 - a66) / abs(a66) < 1e-3
 
-    def test_undamped_sector_has_no_unique_fixed_point(self):
-        with pytest.raises(DegenerateSteadyStateError):
-            steady_state_dm(build_liouvillian(lossy_mode_system(), SPEC22))
+    def test_undamped_sector_has_no_unique_fixed_point(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="nit_sim.quantum"):
+            with pytest.raises(DegenerateSteadyStateError):
+                steady_state_dm(build_liouvillian(lossy_mode_system(), SPEC22))
+        assert not caplog.records  # a singular preconditioner is no GMRES miss
+
+    @pytest.mark.parametrize("scale, restarted", [(0.1, False), (0.22, True)])
+    def test_gmres_solves_a_generic_complex_system(self, scale, restarted):
+        # the generator's Hessenberg matrices come out real; this one does not
+        rng = np.random.default_rng(0)
+        n = 80
+        noise = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        a = sp.csr_matrix(np.eye(n) * (3 + 2j) + scale * noise)
+        b = rng.normal(size=n) + 1j * rng.normal(size=n)
+        x, iterations, converged = _gmres(a, lambda v: v / a.diagonal(), b)
+        assert converged
+        assert (iterations > GMRES_RESTART) == restarted
+        assert np.linalg.norm(a @ x - b) <= GMRES_RTOL * np.linalg.norm(b)
 
     def test_closure_defect_small_off_center(self):
         sys = weak_drive_system(delta_p=0.3)
