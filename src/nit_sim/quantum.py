@@ -27,11 +27,9 @@ import logging
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.integrate import RK45, solve_ivp
 
 from .errors import (
     DegenerateSteadyStateError,
@@ -40,6 +38,11 @@ from .errors import (
     StiffnessError,
 )
 from .model import SystemParams
+
+# scipy is imported inside the functions that solve the master equation, so
+# the analytic and mean-field commands never pay for loading it.
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 log = logging.getLogger(__name__)
 
@@ -110,12 +113,16 @@ class OperatorSet:
 
 
 def _destroy(n: int) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     return sp.diags(np.sqrt(np.arange(1, n)), 1, format="csr")
 
 
 @lru_cache(maxsize=None)
 def build_operators(spec: HilbertSpec) -> OperatorSet:
     """Embedded single-subsystem operators, built once per truncation."""
+    import scipy.sparse as sp
+
     i2 = sp.identity(2, format="csr")
     ia = sp.identity(spec.n_a, format="csr")
     ib = sp.identity(spec.n_b, format="csr")
@@ -194,15 +201,21 @@ class Liouvillian:
 
 
 def _lmul(op: sp.spmatrix, ident: sp.spmatrix) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     return sp.kron(ident, op, format="csr")
 
 
 def _rmul(op: sp.spmatrix, ident: sp.spmatrix) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     return sp.kron(op.T, ident, format="csr")
 
 
 def build_liouvillian(sys: SystemParams, spec: HilbertSpec) -> Liouvillian:
     """Assemble the vectorized generator for the given rate set."""
+    import scipy.sparse as sp
+
     ops = build_operators(spec)
     h = build_hamiltonian(sys, spec).matrix
     ident = ops.identity.matrix
@@ -273,6 +286,8 @@ def _unvec(v: np.ndarray, dim: int) -> np.ndarray:
 
 def expectation(op, rho) -> complex:
     """trace(op . rho) for sparse/dense operators and DensityMatrix/ndarray."""
+    import scipy.sparse as sp
+
     if isinstance(op, Operator):
         op = op.matrix
     if isinstance(rho, DensityMatrix):
@@ -309,6 +324,9 @@ def _solve_structured(liou: Liouvillian) -> tuple[np.ndarray | None, int, bool]:
     rho[0, 0] = 1 replaces the vacuum row (redundant by trace preservation)
     and unknown.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     q, na, nb = np.indices((2, liou.spec.n_a, liou.spec.n_b)).reshape(3, -1)
     n = q + na + nb
     n1, n2 = np.tile(n, liou.dim), np.repeat(n, liou.dim)
@@ -398,6 +416,9 @@ def _solve_lu(liou: Liouvillian, threshold: float) -> np.ndarray:
     row, hence redundant by trace preservation) swapped for the trace
     functional, plus iterative refinement.  Returns vec(rho) once its
     residual meets ``threshold``."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     coo = liou.matrix.tocoo()
     keep = coo.row != 0
     dim = liou.dim
@@ -490,6 +511,8 @@ def evolve(
     drift beyond 1e-9 is an error.  Local error per step is controlled by
     ``tol`` (relative) with an absolute floor 1e-4*tol.
     """
+    from scipy.integrate import RK45
+
     if not t_end > 0:
         raise DomainError(f"t_end must be > 0, got {t_end!r}")
     if not 0 < tol <= 1e-2:
@@ -560,6 +583,8 @@ def rwa_error_probe(
     Step underflow at extreme omega_sum is reported as a warning, not an
     error, and the scan up to that point is used.
     """
+    from scipy.integrate import solve_ivp
+
     if not omega_sum > 0:
         raise DomainError(f"omega_sum must be > 0, got {omega_sum!r}")
     liou = build_liouvillian(sys, spec)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -17,6 +18,7 @@ from nit_sim.cli import main
 from nit_sim.config import parse_config
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+SRC = PYPROJECT.parent / "src"
 
 SYSTEM_BLOCK = """\
 [system]
@@ -40,6 +42,10 @@ delta_min = -1.5
 delta_max = 1.5
 n_points = 201
 """
+
+QUANTUM_SWEEP_CFG = SWEEP_CFG.replace(
+    "n_points = 201", "n_points = 3\nbackend = quantum\nn_a = 3\nn_b = 3"
+)
 
 STEADY_CFG = f"""\
 [run]
@@ -265,6 +271,71 @@ class TestFailureModes:
         deep = tmp_path / "a" / "b" / "c"
         assert main(["steady", "--config", str(cfg_file), "--out", str(deep)]) == 0
         assert (deep / "run.json").exists()
+
+
+_SCIPY_PROBE = """\
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import nit_sim
+on_import = scipy_modules()
+from nit_sim.cli import main
+codes = [main(args) for args in json.loads(sys.argv[1])]
+print(json.dumps({"on_import": on_import, "codes": codes, "after": scipy_modules()}))
+"""
+
+
+def scipy_after_cli_runs(tmp_path: Path, runs) -> dict:
+    """Run ``main`` on each (command, config text) in one fresh interpreter
+    and report the scipy modules loaded by ``import nit_sim`` and after the
+    runs, with every exit code."""
+    argvs = []
+    for i, (command, text) in enumerate(runs):
+        cfg_file = tmp_path / f"run{i}.cfg"
+        cfg_file.write_text(text, encoding="utf-8")
+        outdir = tmp_path / f"out{i}"
+        argvs.append([command, "--config", str(cfg_file), "--out", str(outdir)])
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(argvs)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestColdStart:
+    @pytest.mark.parametrize(
+        "runs, loads_scipy",
+        [
+            pytest.param(
+                [
+                    ("steady", STEADY_CFG),
+                    ("sweep", SWEEP_CFG + "backend = analytic\n"),
+                    ("evolve", EVOLVE_CFG),
+                    ("dephasing-scan", DEPHASING_CFG),
+                    ("derive-coupling", DERIVE_CFG),
+                ],
+                False,
+                id="closed-form-and-meanfield",
+            ),
+            pytest.param([("sweep", QUANTUM_SWEEP_CFG)], True, id="quantum-sweep"),
+            pytest.param([("validate", VALIDATE_CFG)], True, id="validate"),
+        ],
+    )
+    def test_scipy_loads_only_for_the_master_equation(
+        self, tmp_path, runs, loads_scipy
+    ):
+        """Only the master-equation commands import scipy; the others, and a
+        plain ``import nit_sim``, start without it."""
+        report = scipy_after_cli_runs(tmp_path, runs)
+        assert report["on_import"] == []
+        assert report["codes"] == [0] * len(runs)
+        if loads_scipy:
+            assert "scipy.sparse.linalg" in report["after"]
+        else:
+            assert report["after"] == []
 
 
 class TestEntryPoints:
