@@ -42,7 +42,6 @@ from .quantum import (
     DensityMatrix,
     HilbertSpec,
     Liouvillian,
-    Operator,
     OperatorSet,
     build_hamiltonian,
     build_liouvillian,
@@ -81,7 +80,6 @@ __all__ = [
     "Liouvillian",
     "MeanFieldState",
     "NumericalError",
-    "Operator",
     "OperatorSet",
     "PhysicalParams",
     "SingularityError",

@@ -101,20 +101,13 @@ def _check_tols(rel_tol, abs_tol) -> None:
 
 
 def _bank_arrays(systems: Sequence[SystemParams]):
-    """Unrolled drift entries for a batch, exploiting J02 = J20 = 0."""
-    n = len(systems)
-    rows = [np.empty(n, dtype=complex) for _ in range(7)]
-    c0 = np.empty(n, dtype=complex)
-    for i, s in enumerate(systems):
-        d = effective_detunings(s)
-        rows[0][i] = -1j * d.a          # J00
-        rows[1][i] = 1j * s.lam         # J01
-        rows[2][i] = 1j * s.lam         # J10
-        rows[3][i] = -1j * d.b          # J11
-        rows[4][i] = -1j * s.g          # J12
-        rows[5][i] = -1j * s.g          # J21
-        rows[6][i] = -1j * d.q          # J22
-        c0[i] = -1j * s.epsilon
+    """The seven nonzero drift entries of a batch (J02 = J20 = 0), one
+    contiguous row each, and the affine term c0."""
+    drifts = [drift(s) for s in systems]
+    J = np.array([j for j, _ in drifts], dtype=complex).reshape(-1, 3, 3)
+    entries = ((0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2))
+    rows = [J[:, r, c].copy() for r, c in entries]
+    c0 = np.array([c[0] for _, c in drifts], dtype=complex)
     return rows, c0
 
 

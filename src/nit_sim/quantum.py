@@ -54,6 +54,7 @@ RESIDUAL_TOL = 1e-10
 GMRES_RTOL = 1e-13
 GMRES_RESTART = 50
 GMRES_CYCLES = 2  # restarts: at most 100 iterations before the LU fallback
+DIM2_CAP = 250_000  # superoperator dimension dim^2
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,6 @@ class HilbertSpec:
 
     n_a: int = 5
     n_b: int = 5
-    dim2_cap: int = 250_000
 
     def __post_init__(self):
         if self.n_a < 2 or self.n_b < 2:
@@ -70,10 +70,10 @@ class HilbertSpec:
                 f"need at least two Fock levels per mode, got "
                 f"n_a={self.n_a}, n_b={self.n_b}"
             )
-        if self.dim * self.dim > self.dim2_cap:
+        if self.dim * self.dim > DIM2_CAP:
             raise DomainError(
                 f"superoperator dimension {self.dim}^2 = {self.dim**2} "
-                f"exceeds the cap {self.dim2_cap}"
+                f"exceeds the cap {DIM2_CAP}"
             )
 
     @property
@@ -82,34 +82,14 @@ class HilbertSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class Operator:
-    """Sparse operator on the composite space with a hermiticity tag."""
-
-    matrix: sp.csr_matrix
-    hermitian: bool
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def dag(self) -> "Operator":
-        return Operator(self.matrix.conj().T.tocsr(), self.hermitian)
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        return Operator((self.matrix @ other.matrix).tocsr(), False)
-
-    def toarray(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-
-@dataclass(frozen=True, eq=False)
 class OperatorSet:
-    a: Operator
-    b: Operator
-    sigma_minus: Operator
-    sigma_z: Operator
-    identity: Operator
-    spec: HilbertSpec
+    """Embedded single-subsystem operators as plain csr matrices."""
+
+    a: sp.csr_matrix
+    b: sp.csr_matrix
+    sigma_minus: sp.csr_matrix
+    sigma_z: sp.csr_matrix
+    identity: sp.csr_matrix
 
 
 def _destroy(n: int) -> sp.csr_matrix:
@@ -133,16 +113,15 @@ def build_operators(spec: HilbertSpec) -> OperatorSet:
         return sp.kron(sp.kron(q, ta), tb, format="csr")
 
     return OperatorSet(
-        a=Operator(emb(i2, _destroy(spec.n_a), ib), False),
-        b=Operator(emb(i2, ia, _destroy(spec.n_b)), False),
-        sigma_minus=Operator(emb(sm2, ia, ib), False),
-        sigma_z=Operator(emb(sz2, ia, ib), True),
-        identity=Operator(emb(i2, ia, ib), True),
-        spec=spec,
+        a=emb(i2, _destroy(spec.n_a), ib),
+        b=emb(i2, ia, _destroy(spec.n_b)),
+        sigma_minus=emb(sm2, ia, ib),
+        sigma_z=emb(sz2, ia, ib),
+        identity=emb(i2, ia, ib),
     )
 
 
-def build_hamiltonian(sys: SystemParams, spec: HilbertSpec) -> Operator:
+def build_hamiltonian(sys: SystemParams, spec: HilbertSpec) -> sp.csr_matrix:
     """Driven rotating-frame Hamiltonian on the truncated space.
 
     H = (Dq/2) sz + Da a'a + Db b'b - lam (a b' + b a')
@@ -152,8 +131,7 @@ def build_hamiltonian(sys: SystemParams, spec: HilbertSpec) -> Operator:
     Dq = delta_p + delta_q_offset.
     """
     ops = build_operators(spec)
-    a, b, sm = ops.a.matrix, ops.b.matrix, ops.sigma_minus.matrix
-    sz = ops.sigma_z.matrix
+    a, b, sm, sz = ops.a, ops.b, ops.sigma_minus, ops.sigma_z
     adag, bdag, splus = a.conj().T, b.conj().T, sm.conj().T
 
     da = sys.delta_p
@@ -174,7 +152,7 @@ def build_hamiltonian(sys: SystemParams, spec: HilbertSpec) -> Operator:
     scale = max(abs(h).max(), 1.0)
     if defect > 1e-12 * scale:
         raise SolverError(f"assembled Hamiltonian not hermitian: defect {defect:.3e}")
-    return Operator(h, True)
+    return h
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,16 +195,16 @@ def build_liouvillian(sys: SystemParams, spec: HilbertSpec) -> Liouvillian:
     import scipy.sparse as sp
 
     ops = build_operators(spec)
-    h = build_hamiltonian(sys, spec).matrix
-    ident = ops.identity.matrix
+    h = build_hamiltonian(sys, spec)
+    ident = ops.identity
     dim = spec.dim
 
     gen = -1j * (_lmul(h, ident) - _rmul(h, ident))
     channels = (
-        (0.5 * sys.gamma, ops.sigma_minus.matrix),
-        (0.25 * sys.gamma_phi, ops.sigma_z.matrix),  # coherence decay gamma_phi
-        (0.5 * sys.kappa_a, ops.a.matrix),
-        (0.5 * sys.kappa_b, ops.b.matrix),
+        (0.5 * sys.gamma, ops.sigma_minus),
+        (0.25 * sys.gamma_phi, ops.sigma_z),  # coherence decay gamma_phi
+        (0.5 * sys.kappa_a, ops.a),
+        (0.5 * sys.kappa_b, ops.b),
     )
     for rate, op in channels:
         if rate == 0.0:
@@ -288,8 +266,6 @@ def expectation(op, rho) -> complex:
     """trace(op . rho) for sparse/dense operators and DensityMatrix/ndarray."""
     import scipy.sparse as sp
 
-    if isinstance(op, Operator):
-        op = op.matrix
     if isinstance(rho, DensityMatrix):
         rho = rho.matrix
     if sp.issparse(op):
@@ -589,9 +565,8 @@ def rwa_error_probe(
         raise DomainError(f"omega_sum must be > 0, got {omega_sum!r}")
     liou = build_liouvillian(sys, spec)
     ops = build_operators(spec)
-    ident = ops.identity.matrix
-    x = (-sys.lam * (ops.a.matrix @ ops.b.matrix)
-         + sys.g * (ops.sigma_minus.matrix @ ops.b.matrix)).tocsr()
+    ident = ops.identity
+    x = (-sys.lam * (ops.a @ ops.b) + sys.g * (ops.sigma_minus @ ops.b)).tocsr()
     s_lo = -1j * (_lmul(x, ident) - _rmul(x, ident))
     xd = x.conj().T.tocsr()
     s_hi = -1j * (_lmul(xd, ident) - _rmul(xd, ident))

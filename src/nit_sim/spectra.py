@@ -103,6 +103,42 @@ def _wrap_point_error(exc: NumericalError, delta_p: float) -> NumericalError:
     return exc.__class__(f"at delta_p={delta_p!r}: {exc}")
 
 
+def quantum_expectations(systems, spec: HilbertSpec, operators) -> np.ndarray:
+    """trace(op . rho) of each operator in the steady state of each point,
+    as a (len(operators), len(systems)) array.
+
+    Points are solved on NIT_SIM_THREADS workers; a failure at any point is
+    re-raised with its detuning attached.
+    """
+
+    def solve_point(sys_i: SystemParams) -> list[complex]:
+        try:
+            rho = steady_state_dm(build_liouvillian(sys_i, spec))
+            return [expectation(op, rho) for op in operators]
+        except NumericalError as exc:
+            raise _wrap_point_error(exc, sys_i.delta_p) from exc
+
+    n_workers = worker_count()
+    if n_workers == 1:
+        rows = [solve_point(s) for s in systems]
+    else:
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            rows = list(pool.map(solve_point, systems))
+    return np.array(rows, dtype=complex).T
+
+
+def stationary_a(systems, backend: str, spec: HilbertSpec | None = None) -> np.ndarray:
+    """Stationary <a> at each point by one backend; ``spec`` is the quantum
+    truncation (default HilbertSpec())."""
+    if backend == "analytic":
+        return np.array([steady_state(s).a for s in systems], dtype=complex)
+    if backend == "meanfield":
+        # relax_many reports the offending detuning itself on failure
+        return relax_many(systems)[0]
+    spec = spec or HilbertSpec()
+    return quantum_expectations(systems, spec, [build_operators(spec).a])[0]
+
+
 def sweep(cfg: SweepConfig) -> Spectrum:
     """Evaluate the stationary <a> over the configured grid.
 
@@ -112,31 +148,7 @@ def sweep(cfg: SweepConfig) -> Spectrum:
     base = normalize(cfg.base)
     grid = detuning_grid(cfg.delta_min, cfg.delta_max, cfg.n_points)
     systems = [replace(base, delta_p=float(d)) for d in grid]
-
-    if cfg.backend == "analytic":
-        a_vals = np.empty(cfg.n_points, dtype=complex)
-        for i, s in enumerate(systems):
-            a_vals[i] = steady_state(s).a
-    elif cfg.backend == "meanfield":
-        # relax_many reports the offending detuning itself on failure
-        a_vals = relax_many(systems)[0]
-    else:
-        qspec = cfg.quantum_spec or HilbertSpec()
-        ops = build_operators(qspec)
-
-        def solve_point(sys_i: SystemParams) -> complex:
-            try:
-                rho = steady_state_dm(build_liouvillian(sys_i, qspec))
-                return expectation(ops.a, rho)
-            except NumericalError as exc:
-                raise _wrap_point_error(exc, sys_i.delta_p) from exc
-
-        n_workers = worker_count()
-        if n_workers == 1:
-            a_vals = np.array([solve_point(s) for s in systems])
-        else:
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                a_vals = np.array(list(pool.map(solve_point, systems)))
+    a_vals = stationary_a(systems, cfg.backend, cfg.quantum_spec)
 
     out = Spectrum(
         detunings=grid,
@@ -307,8 +319,7 @@ def dephasing_scan(base: SystemParams, gamma_phi_values) -> np.ndarray:
             f"delta_p = 0); got lam={norm.lam!r}, g={norm.g!r}",
             stacklevel=2,
         )
-    out = np.empty(len(gamma_phi_values))
-    for i, gph in enumerate(gamma_phi_values):
-        sys_i = replace(norm, delta_p=0.0, gamma_phi=float(gph))
-        out[i] = steady_state(sys_i).absorption
-    return out
+    systems = [
+        replace(norm, delta_p=0.0, gamma_phi=float(gph)) for gph in gamma_phi_values
+    ]
+    return -stationary_a(systems, "analytic").imag

@@ -327,21 +327,31 @@ def test_criterion_10_bitwise_determinism(report, monkeypatch, tmp_path):
         "[dephasing]\ngamma_phi_values = 1e-3, 1e-1, 1.0\n",
         encoding="utf-8",
     )
+    validate_file = tmp_path / "validate.cfg"
+    validate_file.write_text(
+        "[run]\ncommand = validate\nformats = json\n\n"
+        "[system]\nlambda = 0.5\ng = 0.5\nepsilon = 0.01\nkappa_a = 1\n"
+        "kappa_b = 1e-3\ngamma = 1e-3\ngamma_phi = 1e-3\n\n"
+        "[validate]\nn_points = 5\nn_a = 4\nn_b = 4\n",
+        encoding="utf-8",
+    )
+    cli_runs = {
+        "dephasing-cli": ("dephasing-scan", cfg_file, "dephasing.csv"),
+        "validate-cli": ("validate", validate_file, "validation.json"),
+    }
 
-    digests: dict[str, set[str]] = {name: set() for name in producers}
-    digests["dephasing-cli"] = set()
+    digests: dict[str, set[str]] = {name: set() for name in [*producers, *cli_runs]}
     for threads in ("1", "2", "8"):
         monkeypatch.setenv("NIT_SIM_THREADS", threads)
         for rep in range(2):
             for name, make in producers.items():
                 digests[name].add(hashlib.sha256(make().encode()).hexdigest())
-            out = tmp_path / f"deph-{threads}-{rep}"
-            assert main(
-                ["dephasing-scan", "--config", str(cfg_file), "--out", str(out)]
-            ) == 0
-            digests["dephasing-cli"].add(
-                hashlib.sha256((out / "dephasing.csv").read_bytes()).hexdigest()
-            )
+            for name, (command, cfg, artifact) in cli_runs.items():
+                out = tmp_path / f"{name}-{threads}-{rep}"
+                assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+                digests[name].add(
+                    hashlib.sha256((out / artifact).read_bytes()).hexdigest()
+                )
 
     bad = sorted(name for name, seen in digests.items() if len(seen) != 1)
     _verdict(

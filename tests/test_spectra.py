@@ -21,6 +21,7 @@ from nit_sim import (
     compare,
     dephasing_scan,
     detuning_grid,
+    spectra,
     steady_state,
     sweep,
     to_csv_text,
@@ -128,6 +129,27 @@ class TestSweep:
         )
         with pytest.raises(DegenerateSteadyStateError, match="at delta_p="):
             sweep(cfg)
+
+    def test_backends_look_up_their_solvers_at_call_time(self, monkeypatch):
+        """Per-layer profilers wrap these module-level names of
+        nit_sim.spectra; a name bound anywhere else would bypass them."""
+        calls = {}
+        for name in ("steady_state", "build_liouvillian", "steady_state_dm",
+                     "expectation"):
+            def counting(*args, _fn=getattr(spectra, name), _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args)
+
+            monkeypatch.setattr(spectra, name, counting)
+
+        sweep(matched_sweep(5))
+        assert calls == {"steady_state": 5}
+        dephasing_scan(matched_system(), [1e-3, 1e-1, 1.0])
+        assert calls == {"steady_state": 8}
+        calls.clear()
+        sweep(SweepConfig(weak_drive_system(), -0.6, 0.6, 3, backend="quantum",
+                          quantum_spec=HilbertSpec(3, 3)))
+        assert calls == {"build_liouvillian": 3, "steady_state_dm": 3, "expectation": 3}
 
 
 class TestCsv:
