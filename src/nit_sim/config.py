@@ -14,7 +14,7 @@ reproduces `cfg` exactly (floats via repr round-trip).
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Callable
 
 from .errors import ConfigError, DomainError
@@ -22,14 +22,15 @@ from .model import PhysicalParams, SystemParams, normalize
 from .quantum import HilbertSpec
 from .spectra import BACKENDS, SweepConfig
 
-COMMANDS = (
-    "steady",
-    "sweep",
-    "evolve",
-    "validate",
-    "derive-coupling",
-    "dephasing-scan",
-)
+_REQUIRED_BLOCKS: dict[str, tuple[str, ...]] = {
+    "steady": ("system",),
+    "sweep": ("system", "sweep"),
+    "evolve": ("system", "evolve"),
+    "validate": ("system",),
+    "derive-coupling": ("system", "physical"),
+    "dephasing-scan": ("system", "dephasing"),
+}
+COMMANDS = tuple(_REQUIRED_BLOCKS)
 FORMATS = ("csv", "json", "svg")
 UNITS = ("kappa_a", "SI")
 
@@ -53,15 +54,22 @@ class ValidateSettings:
     n_a: int = 5
     n_b: int = 5
 
+    def __post_init__(self):
+        if not self.delta_min < self.delta_max:
+            raise DomainError(
+                f"need delta_min < delta_max, got [{self.delta_min!r}, {self.delta_max!r}]"
+            )
+
 
 @dataclass(frozen=True)
 class RunConfig:
     """Fully resolved run description.
 
-    `system` is always stored normalized (kappa_a == 1).  The units the
-    file used and the kappa_a value it carried are kept for reporting
-    but excluded from equality, so round-tripping through the canonical
-    renderer compares equal.
+    `system` is always stored normalized (kappa_a == 1).  `blocks` keeps the
+    schema values of every block but [run] as the file gave them, defaults
+    filled in; `render_config` writes them back.  They are excluded from
+    equality, so round-tripping through the canonical renderer compares
+    equal.
     """
 
     command: str
@@ -73,11 +81,17 @@ class RunConfig:
     evolve: EvolveSettings | None = None
     dephasing: tuple[float, ...] | None = None
     validate: ValidateSettings | None = None
-    system_units: str = field(default="kappa_a", compare=False)
-    kappa_a_input: float = field(default=1.0, compare=False)
-    # the un-normalized [system] block as parsed, kept so SI configs render
-    # back in their own units (rates rescaled twice would drift by an ulp)
-    system_si: SystemParams | None = field(default=None, compare=False)
+    # [system] is kept as parsed so SI configs render back in their own
+    # units (rates rescaled twice would drift by an ulp)
+    blocks: dict[str, dict[str, Any]] = field(default_factory=dict, compare=False)
+
+    @property
+    def system_units(self) -> str:
+        return self.blocks["system"]["units"]
+
+    @property
+    def kappa_a_input(self) -> float:
+        return self.blocks["system"]["kappa_a"]
 
 
 def _num(raw: str) -> float:
@@ -142,8 +156,7 @@ class _Field:
     parse: Callable[[str], Any]
     required: bool = False
     default: Any = None
-    check: Callable[[Any], bool] | None = None
-    check_msg: str = ""
+    check: tuple[Callable[[Any], bool], str] | None = None
 
 
 _POS = (lambda v: v > 0, "must be > 0")
@@ -162,54 +175,42 @@ _SCHEMA: dict[str, dict[str, _Field]] = {
         "delta_p": _Field(_num, default=0.0),
         "delta_b_offset": _Field(_num, default=0.0),
         "delta_q_offset": _Field(_num, default=0.0),
-        "lambda": _Field(_num, required=True, check=_NONNEG[0], check_msg=_NONNEG[1]),
-        "g": _Field(_num, required=True, check=_NONNEG[0], check_msg=_NONNEG[1]),
+        "lambda": _Field(_num, required=True, check=_NONNEG),
+        "g": _Field(_num, required=True, check=_NONNEG),
         "epsilon": _Field(_cplx, required=True),
-        "kappa_a": _Field(_num, required=True, check=_POS[0], check_msg=_POS[1]),
-        "kappa_b": _Field(_num, required=True, check=_NONNEG[0], check_msg=_NONNEG[1]),
-        "gamma": _Field(_num, required=True, check=_NONNEG[0], check_msg=_NONNEG[1]),
-        "gamma_phi": _Field(_num, required=True, check=_NONNEG[0], check_msg=_NONNEG[1]),
+        "kappa_a": _Field(_num, required=True, check=_POS),
+        "kappa_b": _Field(_num, required=True, check=_NONNEG),
+        "gamma": _Field(_num, required=True, check=_NONNEG),
+        "gamma_phi": _Field(_num, required=True, check=_NONNEG),
     },
+    # q_e, k_c and hbar are optional, with the constants' values as defaults
     "physical": {
-        key: _Field(_num, required=True, check=_POS[0], check_msg=_POS[1])
-        for key in ("d", "V0", "C0", "M", "m", "omega", "nu", "k_l", "Omega")
+        f.name: _Field(_num, required=f.default is MISSING, default=f.default, check=_POS)
+        for f in fields(PhysicalParams)
     },
     "sweep": {
         "delta_min": _Field(_num, required=True),
         "delta_max": _Field(_num, required=True),
-        "n_points": _Field(_intval, required=True, check=_GE2[0], check_msg=_GE2[1]),
+        "n_points": _Field(_intval, required=True, check=_GE2),
         "backend": _Field(_enum(BACKENDS), default="analytic"),
-        "n_a": _Field(_intval, default=5, check=_GE2[0], check_msg=_GE2[1]),
-        "n_b": _Field(_intval, default=5, check=_GE2[0], check_msg=_GE2[1]),
+        "n_a": _Field(_intval, default=5, check=_GE2),
+        "n_b": _Field(_intval, default=5, check=_GE2),
     },
     "evolve": {
-        "t_end": _Field(_num, required=True, check=_POS[0], check_msg=_POS[1]),
-        "rel_tol": _Field(_num, default=1e-8, check=_TOL[0], check_msg=_TOL[1]),
-        "abs_tol": _Field(_num, default=1e-12, check=_TOL[0], check_msg=_TOL[1]),
+        "t_end": _Field(_num, required=True, check=_POS),
+        "rel_tol": _Field(_num, default=EvolveSettings.rel_tol, check=_TOL),
+        "abs_tol": _Field(_num, default=EvolveSettings.abs_tol, check=_TOL),
     },
     "dephasing": {
         "gamma_phi_values": _Field(_float_list, required=True),
     },
     "validate": {
-        "delta_min": _Field(_num, default=-1.5),
-        "delta_max": _Field(_num, default=1.5),
-        "n_points": _Field(_intval, default=11, check=_GE2[0], check_msg=_GE2[1]),
-        "n_a": _Field(_intval, default=5, check=_GE2[0], check_msg=_GE2[1]),
-        "n_b": _Field(_intval, default=5, check=_GE2[0], check_msg=_GE2[1]),
+        "delta_min": _Field(_num, default=ValidateSettings.delta_min),
+        "delta_max": _Field(_num, default=ValidateSettings.delta_max),
+        "n_points": _Field(_intval, default=ValidateSettings.n_points, check=_GE2),
+        "n_a": _Field(_intval, default=ValidateSettings.n_a, check=_GE2),
+        "n_b": _Field(_intval, default=ValidateSettings.n_b, check=_GE2),
     },
-}
-
-# optional physical constants, validated like the rest but not required
-for _key in ("q_e", "k_c", "hbar"):
-    _SCHEMA["physical"][_key] = _Field(_num, check=_POS[0], check_msg=_POS[1])
-
-_REQUIRED_BLOCKS: dict[str, tuple[str, ...]] = {
-    "steady": ("system",),
-    "sweep": ("system", "sweep"),
-    "evolve": ("system", "evolve"),
-    "validate": ("system",),
-    "derive-coupling": ("system", "physical"),
-    "dephasing-scan": ("system", "dephasing"),
 }
 
 
@@ -285,118 +286,73 @@ def _apply_schema(block: str, raw: dict[str, tuple[str, int]]) -> dict[str, Any]
             value = spec.parse(value_str)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {key}: {exc}") from None
-        if spec.check is not None and not spec.check(value):
+        if spec.check is not None and not spec.check[0](value):
             raise ConfigError(
-                f"line {lineno}: {key} {spec.check_msg}, got {value_str}"
+                f"line {lineno}: {key} {spec.check[1]}, got {value_str}"
             )
         out[key] = value
     return out
+
+
+def _build(block: str, make: Callable[[], Any]) -> Any:
+    """Run a block's constructor, reporting its DomainError as a ConfigError."""
+    try:
+        return make()
+    except DomainError as exc:
+        raise ConfigError(f"[{block}]: {exc}") from None
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse config text into a validated RunConfig.
 
     Every error names the offending key and line.  The [system] block is
-    normalized on ingestion; with units = "SI" the raw kappa_a is kept in
-    `kappa_a_input` so SI-rate reporting stays possible.
+    normalized on ingestion; its values as parsed stay in `blocks`, so with
+    units = "SI" the raw kappa_a (`kappa_a_input`) and SI rates remain
+    available for reporting.
     """
-    blocks = _tokenize(text)
-    if "run" not in blocks:
+    raw = _tokenize(text)
+    if "run" not in raw:
         raise ConfigError("missing [run] block (must set `command`)")
-    run = _apply_schema("run", blocks["run"])
+    run = _apply_schema("run", raw["run"])
     command = run["command"]
 
     for need in _REQUIRED_BLOCKS[command]:
-        if need not in blocks:
+        if need not in raw:
             raise ConfigError(
                 f"command {command!r} requires a [{need}] block"
             )
+    if command == "validate":
+        raw.setdefault("validate", {})
+    blocks = {b: _apply_schema(b, raw[b]) for b in _SCHEMA if b in raw and b != "run"}
 
-    values = {b: _apply_schema(b, blocks[b]) for b in blocks if b != "run"}
-
-    sysv = values["system"]
-    units = sysv["units"]
-    if units == "kappa_a" and sysv["kappa_a"] != 1.0:
+    rates = dict(blocks["system"])
+    units = rates.pop("units")
+    if units == "kappa_a" and rates["kappa_a"] != 1.0:
         raise ConfigError(
             'with units = "kappa_a" the kappa_a value must be 1 '
-            f"(got {sysv['kappa_a']!r}); use units = \"SI\" for raw rates"
+            f"(got {rates['kappa_a']!r}); use units = \"SI\" for raw rates"
         )
-    try:
-        raw_system = SystemParams(
-            delta_p=sysv["delta_p"],
-            lam=sysv["lambda"],
-            g=sysv["g"],
-            epsilon=sysv["epsilon"],
-            kappa_a=sysv["kappa_a"],
-            kappa_b=sysv["kappa_b"],
-            gamma=sysv["gamma"],
-            gamma_phi=sysv["gamma_phi"],
-            delta_b_offset=sysv["delta_b_offset"],
-            delta_q_offset=sysv["delta_q_offset"],
-        )
-        system = normalize(raw_system)
-    except DomainError as exc:
-        raise ConfigError(f"[system]: {exc}") from None
+    rates["lam"] = rates.pop("lambda")
+    system = _build("system", lambda: normalize(SystemParams(**rates)))
 
-    physical = None
-    if "physical" in values:
-        pv = values["physical"]
-        kwargs = {k: pv[k] for k in _SCHEMA["physical"] if pv[k] is not None}
-        try:
-            physical = PhysicalParams(**kwargs)
-        except DomainError as exc:
-            raise ConfigError(f"[physical]: {exc}") from None
-
-    sweep = None
-    if "sweep" in values:
-        sv = values["sweep"]
-        if not sv["delta_min"] < sv["delta_max"]:
-            raise ConfigError(
-                "[sweep]: delta_min must be strictly less than delta_max"
-            )
+    physical = sweep = evolve = dephasing = validate = None
+    if "physical" in blocks:
+        physical = _build("physical", lambda: PhysicalParams(**blocks["physical"]))
+    if "sweep" in blocks:
+        sv = dict(blocks["sweep"])
+        n_a, n_b = sv.pop("n_a"), sv.pop("n_b")
         spec = None
         if sv["backend"] == "quantum":
-            try:
-                spec = HilbertSpec(n_a=sv["n_a"], n_b=sv["n_b"])
-            except DomainError as exc:
-                raise ConfigError(f"[sweep]: {exc}") from None
-        sweep = SweepConfig(
-            base=system,
-            delta_min=sv["delta_min"],
-            delta_max=sv["delta_max"],
-            n_points=sv["n_points"],
-            backend=sv["backend"],
-            quantum_spec=spec,
-        )
-
-    evolve = None
-    if "evolve" in values:
-        ev = values["evolve"]
-        evolve = EvolveSettings(
-            t_end=ev["t_end"], rel_tol=ev["rel_tol"], abs_tol=ev["abs_tol"]
-        )
-
-    dephasing = None
-    if "dephasing" in values:
-        dvals = values["dephasing"]["gamma_phi_values"]
-        if any(v < 0 for v in dvals):
+            spec = _build("sweep", lambda: HilbertSpec(n_a, n_b))
+        sweep = _build("sweep", lambda: SweepConfig(base=system, quantum_spec=spec, **sv))
+    if "evolve" in blocks:
+        evolve = EvolveSettings(**blocks["evolve"])
+    if "dephasing" in blocks:
+        dephasing = blocks["dephasing"]["gamma_phi_values"]
+        if any(v < 0 for v in dephasing):
             raise ConfigError("[dephasing]: gamma_phi_values must be >= 0")
-        dephasing = dvals
-
-    validate = None
-    if "validate" in values or command == "validate":
-        vv = values.get("validate", _apply_schema("validate", {}))
-        if not vv["delta_min"] < vv["delta_max"]:
-            raise ConfigError(
-                "[validate]: delta_min must be strictly less than delta_max"
-            )
-        validate = ValidateSettings(
-            delta_min=vv["delta_min"],
-            delta_max=vv["delta_max"],
-            n_points=vv["n_points"],
-            n_a=vv["n_a"],
-            n_b=vv["n_b"],
-        )
+    if "validate" in blocks:
+        validate = _build("validate", lambda: ValidateSettings(**blocks["validate"]))
 
     if command == "derive-coupling" and units != "SI":
         raise ConfigError(
@@ -414,95 +370,32 @@ def parse_config(text: str) -> RunConfig:
         evolve=evolve,
         dephasing=dephasing,
         validate=validate,
-        system_units=units,
-        kappa_a_input=sysv["kappa_a"],
-        system_si=raw_system if units == "SI" else None,
+        blocks=blocks,
     )
+
+
+def _render_value(value: Any) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, tuple):
+        if isinstance(value[0], str):
+            return ",".join(value)
+        return ", ".join(repr(v) for v in value)
+    return repr(value)
 
 
 def render_config(cfg: RunConfig) -> str:
     """Write the canonical config text for a RunConfig.
 
-    Emits every [system] key in the units the config used (the parsed
-    values verbatim, floats via repr), so the output is self-contained
-    and `parse_config` reproduces `cfg` exactly.
+    Emits every key of every block the config had, defaults filled in and
+    in the units the config used (floats via repr), so the output is
+    self-contained and `parse_config` reproduces `cfg` exactly.  [run]
+    comes from the config's own fields, so overrides of `output_dir` and
+    `formats` show up.
     """
-    s = cfg.system_si if cfg.system_si is not None else cfg.system
-    units = "SI" if cfg.system_si is not None else "kappa_a"
-    lines = [
-        "[run]",
-        f"command = {cfg.command}",
-        f"out = {cfg.output_dir}",
-        f"formats = {','.join(cfg.formats)}",
-        "",
-        "[system]",
-        f"units = {units}",
-        f"delta_p = {s.delta_p!r}",
-        f"delta_b_offset = {s.delta_b_offset!r}",
-        f"delta_q_offset = {s.delta_q_offset!r}",
-        f"lambda = {s.lam!r}",
-        f"g = {s.g!r}",
-        f"epsilon = {s.epsilon!r}",
-        f"kappa_a = {s.kappa_a!r}",
-        f"kappa_b = {s.kappa_b!r}",
-        f"gamma = {s.gamma!r}",
-        f"gamma_phi = {s.gamma_phi!r}",
-    ]
-    if cfg.physical is not None:
-        p = cfg.physical
-        lines += [
-            "",
-            "[physical]",
-            f"d = {p.d!r}",
-            f"V0 = {p.V0!r}",
-            f"C0 = {p.C0!r}",
-            f"M = {p.M!r}",
-            f"m = {p.m!r}",
-            f"omega = {p.omega!r}",
-            f"nu = {p.nu!r}",
-            f"k_l = {p.k_l!r}",
-            f"Omega = {p.Omega!r}",
-            f"q_e = {p.q_e!r}",
-            f"k_c = {p.k_c!r}",
-            f"hbar = {p.hbar!r}",
-        ]
-    if cfg.sweep is not None:
-        w = cfg.sweep
-        spec = w.quantum_spec
-        lines += [
-            "",
-            "[sweep]",
-            f"delta_min = {w.delta_min!r}",
-            f"delta_max = {w.delta_max!r}",
-            f"n_points = {w.n_points}",
-            f"backend = {w.backend}",
-            f"n_a = {spec.n_a if spec else 5}",
-            f"n_b = {spec.n_b if spec else 5}",
-        ]
-    if cfg.evolve is not None:
-        e = cfg.evolve
-        lines += [
-            "",
-            "[evolve]",
-            f"t_end = {e.t_end!r}",
-            f"rel_tol = {e.rel_tol!r}",
-            f"abs_tol = {e.abs_tol!r}",
-        ]
-    if cfg.dephasing is not None:
-        lines += [
-            "",
-            "[dephasing]",
-            f"gamma_phi_values = {', '.join(repr(v) for v in cfg.dephasing)}",
-        ]
-    if cfg.validate is not None:
-        v = cfg.validate
-        lines += [
-            "",
-            "[validate]",
-            f"delta_min = {v.delta_min!r}",
-            f"delta_max = {v.delta_max!r}",
-            f"n_points = {v.n_points}",
-            f"n_a = {v.n_a}",
-            f"n_b = {v.n_b}",
-        ]
-    return "\n".join(lines) + "\n"
+    run = dict(zip(_SCHEMA["run"], (cfg.command, cfg.output_dir, cfg.formats)))
+    sections = []
+    for name, values in {"run": run, **cfg.blocks}.items():
+        lines = [f"[{name}]"] + [f"{k} = {_render_value(v)}" for k, v in values.items()]
+        sections.append("\n".join(lines))
+    return "\n\n".join(sections) + "\n"

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import DomainError
 
@@ -76,19 +76,7 @@ def normalize(sys: SystemParams) -> SystemParams:
     1.0 is exact in IEEE arithmetic).
     """
     k = sys.kappa_a
-    return replace(
-        sys,
-        delta_p=sys.delta_p / k,
-        delta_b_offset=sys.delta_b_offset / k,
-        delta_q_offset=sys.delta_q_offset / k,
-        lam=sys.lam / k,
-        g=sys.g / k,
-        epsilon=sys.epsilon / k,
-        kappa_a=k / k,
-        kappa_b=sys.kappa_b / k,
-        gamma=sys.gamma / k,
-        gamma_phi=sys.gamma_phi / k,
-    )
+    return replace(sys, **{f.name: getattr(sys, f.name) / k for f in fields(sys)})
 
 
 @dataclass(frozen=True)
@@ -120,11 +108,10 @@ class PhysicalParams:
     hbar: float = _HBAR
 
     def __post_init__(self):
-        for name in ("d", "V0", "C0", "M", "m", "omega", "nu", "k_l",
-                     "Omega", "q_e", "k_c", "hbar"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not v > 0:
-                raise DomainError(f"{name} must be > 0, got {v!r}")
+                raise DomainError(f"{f.name} must be > 0, got {v!r}")
 
 
 def derive_lambda(p: PhysicalParams) -> float:

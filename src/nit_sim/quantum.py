@@ -160,8 +160,11 @@ class Liouvillian:
     """Sparse generator acting on column-vectorized density matrices."""
 
     matrix: sp.csr_matrix
-    dim: int
     spec: HilbertSpec
+
+    @property
+    def dim(self) -> int:
+        return self.spec.dim
 
     @property
     def dim2(self) -> int:
@@ -197,7 +200,6 @@ def build_liouvillian(sys: SystemParams, spec: HilbertSpec) -> Liouvillian:
     ops = build_operators(spec)
     h = build_hamiltonian(sys, spec)
     ident = ops.identity
-    dim = spec.dim
 
     gen = -1j * (_lmul(h, ident) - _rmul(h, ident))
     channels = (
@@ -216,7 +218,7 @@ def build_liouvillian(sys: SystemParams, spec: HilbertSpec) -> Liouvillian:
             - _rmul(bb, ident)
         )
 
-    liou = Liouvillian(gen.tocsr(), dim, spec)
+    liou = Liouvillian(gen.tocsr(), spec)
     defect = liou.trace_defect()
     if defect > 1e-10:
         raise SolverError(f"generator does not preserve trace: defect {defect:.3e}")

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import nit_sim
+from nit_sim import cli, config
 from nit_sim.cli import main
 from nit_sim.config import parse_config
 
@@ -234,6 +235,9 @@ class TestFailureModes:
         code = main(["sweep", "--config", str(tmp_path / "nope.cfg")])
         assert code == 4
         assert "i/o error" in capsys.readouterr().err
+
+    def test_every_command_has_a_handler(self):
+        assert set(cli._DISPATCH) == set(config.COMMANDS)
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = SWEEP_CFG.replace("lambda", "lamda")

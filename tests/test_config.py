@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from nit_sim import ConfigError
+from nit_sim.cli import main
 from nit_sim.config import (
     EvolveSettings,
     RunConfig,
@@ -61,9 +62,74 @@ k_l = 29292239.194310427
 Omega = 31415926.535897932
 """
 
+SI_GOLDEN = """\
+[run]
+command = derive-coupling
+out = .
+formats = csv,json
+
+[system]
+units = SI
+delta_p = 0.0
+delta_b_offset = 0.0
+delta_q_offset = 0.0
+lambda = 1892117.882424536
+g = 3141592.653589793
+epsilon = (12000+0j)
+kappa_a = 6283185.307179586
+kappa_b = 6283.185307179586
+gamma = 6283.185307179586
+gamma_phi = 6283.185307179586
+
+[physical]
+d = 1.5e-06
+V0 = 20.0
+C0 = 1.9e-16
+M = 1e-15
+m = 1.8598037571903999e-25
+omega = 62831853.071795866
+nu = 62831853.071795866
+k_l = 29292239.194310427
+Omega = 31415926.535897933
+q_e = 1.6e-19
+k_c = 8987551786.170797
+hbar = 1.0545718176461565e-34
+"""
+
+EVOLVE_GOLDEN = """\
+[run]
+command = evolve
+out = .
+formats = csv,json
+
+[system]
+units = kappa_a
+delta_p = 0.0
+delta_b_offset = 0.0
+delta_q_offset = 0.0
+lambda = 0.5
+g = 0.5
+epsilon = (0.03+0j)
+kappa_a = 1.0
+kappa_b = 0.001
+gamma = 0.001
+gamma_phi = 0.001
+
+[evolve]
+t_end = 40.0
+rel_tol = 1e-08
+abs_tol = 1e-12
+"""
+
 
 def with_lines(text: str, *extra: str) -> str:
     return text + "\n" + "\n".join(extra) + "\n"
+
+
+def as_command(command: str, block: str) -> str:
+    """SWEEP_TEXT's [run] and [system] for another command, plus `block`."""
+    text = SWEEP_TEXT.replace("command = sweep", f"command = {command}")
+    return text.split("[sweep]")[0] + block
 
 
 class TestParsing:
@@ -222,6 +288,26 @@ class TestDiagnostics:
         with pytest.raises(ConfigError, match="SI"):
             parse_config(text)
 
+    def test_empty_sweep_range(self, tmp_path, capsys):
+        text = SWEEP_TEXT.replace("delta_max = 1.5", "delta_max = -1.5")
+        with pytest.raises(ConfigError, match=r"\[sweep\]: need delta_min < delta_max"):
+            parse_config(text)
+        path = tmp_path / "sweep.ini"
+        path.write_text(text)
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "[sweep]" in capsys.readouterr().err
+
+    def test_quantum_truncation_past_the_cap(self):
+        text = SWEEP_TEXT.replace(
+            "n_points = 201", "n_points = 201\nbackend = quantum\nn_a = 20\nn_b = 20"
+        )
+        with pytest.raises(ConfigError, match=r"\[sweep\]: .*exceeds the cap"):
+            parse_config(text)
+
+    def test_truncation_is_ignored_off_the_quantum_backend(self):
+        text = SWEEP_TEXT.replace("n_points = 201", "n_points = 201\nn_a = 300\nn_b = 300")
+        assert parse_config(text).sweep.quantum_spec is None
+
     def test_negative_dephasing_value(self):
         text = SWEEP_TEXT.replace("command = sweep", "command = dephasing-scan")
         text = with_lines(text, "[dephasing]", "gamma_phi_values = 1e-3, -0.1")
@@ -240,18 +326,37 @@ class TestRoundTrip:
         assert "units = SI" in rendered
         assert "kappa_a = 6283185.307179586" in rendered
 
+    @pytest.mark.parametrize(
+        "text, golden",
+        [
+            (SI_TEXT + "q_e = 1.6e-19\n", SI_GOLDEN),
+            (as_command("evolve", "[evolve]\nt_end = 40\n"), EVOLVE_GOLDEN),
+        ],
+        ids=["si-with-q_e", "evolve-default-tolerances"],
+    )
+    def test_canonical_text_is_pinned(self, text, golden):
+        assert render_config(parse_config(text)) == golden
+
     def test_round_trip_covers_every_command(self):
         samples = {
-            "steady": "",
-            "evolve": "[evolve]\nt_end = 40\n",
-            "validate": "[validate]\nn_points = 7\nn_a = 4\nn_b = 4\n",
-            "dephasing-scan": "[dephasing]\ngamma_phi_values = 1e-3, 1.0\n",
+            "steady": as_command("steady", ""),
+            "evolve": as_command("evolve", "[evolve]\nt_end = 40\n"),
+            "validate": as_command(
+                "validate", "[validate]\nn_points = 7\nn_a = 4\nn_b = 4\n"
+            ),
+            "dephasing-scan": as_command(
+                "dephasing-scan", "[dephasing]\ngamma_phi_values = 1e-3, 1.0\n"
+            ),
+            "analytic sweep with n_a": SWEEP_TEXT.replace(
+                "n_points = 201", "n_points = 201\nn_a = 7"
+            ),
         }
-        for command, block in samples.items():
-            text = SWEEP_TEXT.replace("command = sweep", f"command = {command}")
-            text = text.split("[sweep]")[0] + block
+        for name, text in samples.items():
             cfg = parse_config(text)
-            assert parse_config(render_config(cfg)) == cfg, command
+            assert parse_config(render_config(cfg)) == cfg, name
+        # recorded as written, though only the quantum backend reads it
+        swept = render_config(parse_config(samples["analytic sweep with n_a"]))
+        assert "\nn_a = 7\nn_b = 5\n" in swept
 
     def test_round_trip_quantum_sweep(self):
         text = SWEEP_TEXT.replace(

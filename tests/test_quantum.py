@@ -321,9 +321,7 @@ class TestEvolve:
 
     def test_zero_generator_is_the_identity_flow(self):
         dim2 = SPEC22.dim**2
-        liou = Liouvillian(
-            sp.csr_matrix((dim2, dim2), dtype=complex), SPEC22.dim, SPEC22
-        )
+        liou = Liouvillian(sp.csr_matrix((dim2, dim2), dtype=complex), SPEC22)
         rho0 = vacuum_state(SPEC22)
         rho = evolve(rho0, liou, t_end=5.0)
         assert trace_distance(rho, rho0) < 1e-12
