@@ -59,6 +59,7 @@ class ValidateSettings:
             raise DomainError(
                 f"need delta_min < delta_max, got [{self.delta_min!r}, {self.delta_max!r}]"
             )
+        HilbertSpec(self.n_a, self.n_b)  # raises past the truncation cap
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,9 @@ coherence at 4c.
 from __future__ import annotations
 
 import logging
+import threading
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -161,6 +162,8 @@ class Liouvillian:
 
     matrix: sp.csr_matrix
     spec: HilbertSpec
+    _pieces: _Pieces | None = field(default=None, init=False, repr=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -179,6 +182,14 @@ class Liouvillian:
     def trace_defect(self) -> float:
         """Max abs of the trace functional applied to the generator columns."""
         return float(np.max(np.abs(self.trace_vector() @ self.matrix)))
+
+    def pieces(self) -> _Pieces:
+        """The shift-independent parts of the steady-state solve, built on
+        first use; threads that ask at the same time share one build."""
+        with self._lock:
+            if self._pieces is None:
+                object.__setattr__(self, "_pieces", _build_pieces(self))
+            return self._pieces
 
 
 def _lmul(op: sp.spmatrix, ident: sp.spmatrix) -> sp.csr_matrix:
@@ -285,25 +296,43 @@ def closure_defect(rho, spec: HilbertSpec) -> float:
     return abs(bsz + b_) / abs(b_)
 
 
-def _residual(liou: Liouvillian, x: np.ndarray) -> float:
-    return float(np.linalg.norm(liou.matrix @ x))
+@dataclass(frozen=True, eq=False)
+class _Pieces:
+    """What the steady state of L + shift*D needs that no shift changes (see
+    ``_build_pieces``); unknowns are numbered in excitation order."""
+
+    order: np.ndarray  # vec(rho) index of the vacuum, then of each unknown
+    a: sp.csr_matrix  # the generator on the unknowns
+    pre: sp.csc_matrix  # its probe-free part
+    a_diag: np.ndarray  # where the diagonal of ``a`` sits in a.data
+    pre_diag: np.ndarray  # and that of ``pre`` in pre.data
+    rhs: np.ndarray  # minus the vacuum column
+    d: np.ndarray  # D's diagonal, -i(n1 - n2), in vec order
+    diag: np.ndarray  # the generator's diagonal in vec order
+    off_max: float  # its largest off-diagonal |entry|
 
 
-def _solve_structured(liou: Liouvillian) -> tuple[np.ndarray | None, int, bool]:
-    """Vacuum-fixed GMRES in excitation order: (trace-normalized vec(rho),
-    iterations, converged), or (None, 0, False) when the preconditioner is
-    singular.
+def _diagonal_slots(m) -> np.ndarray:
+    """Positions of the diagonal entries in the data of a canonical csr or
+    csc matrix whose diagonal is stored in full."""
+    outer = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    return np.flatnonzero(m.indices == outer)
+
+
+def _build_pieces(liou: Liouvillian) -> _Pieces:
+    """Split the generator for the vacuum-fixed solve in excitation order.
 
     |i><j| carries the excitation pair (n1, n2), n = qubit + n_a + n_b.
     Apart from the probe, the generator conserves n1 - n2 and its jumps
     lower n1 + n2, so in (n1 + n2, n1) order its probe-free part is block
     triangular: LU in that natural order fills in only inside the diagonal
-    blocks.  That LU preconditions GMRES on the driven system, in which
-    rho[0, 0] = 1 replaces the vacuum row (redundant by trace preservation)
-    and unknown.
+    blocks.  rho[0, 0] = 1 replaces the vacuum row (redundant by trace
+    preservation) and unknown; the vacuum column becomes the source.
+
+    The diagonal is stored in full, explicit zeros included (with no qubit
+    damping an n1 != n2 entry can vanish), so a shift always has a slot.
     """
     import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
 
     q, na, nb = np.indices((2, liou.spec.n_a, liou.spec.n_b)).reshape(3, -1)
     n = q + na + nb
@@ -313,23 +342,65 @@ def _solve_structured(liou: Liouvillian) -> tuple[np.ndarray | None, int, bool]:
     rank[order] = np.arange(order.size) - 1
 
     coo = liou.matrix.tocoo()
-    row, col = rank[coo.row], rank[coo.col]
+    off = coo.row != coo.col
+    diag = liou.matrix.diagonal()
+    every = np.arange(liou.dim2, dtype=coo.row.dtype)
+    vrow = np.concatenate([coo.row[off], every])
+    vcol = np.concatenate([coo.col[off], every])
+    data = np.concatenate([coo.data[off], diag])
+    row, col = rank[vrow], rank[vcol]
     body = (row >= 0) & (col >= 0)
-    keep = body & ((n1 - n2)[coo.row] == (n1 - n2)[coo.col])
+    keep = body & ((n1 - n2)[vrow] == (n1 - n2)[vcol])
     shape = (liou.dim2 - 1, liou.dim2 - 1)
-    a = sp.csr_matrix((coo.data[body], (row[body], col[body])), shape=shape)
-    pre = sp.csc_matrix((coo.data[keep], (row[keep], col[keep])), shape=shape)
+    a = sp.csr_matrix((data[body], (row[body], col[body])), shape=shape)
+    pre = sp.csc_matrix((data[keep], (row[keep], col[keep])), shape=shape)
     rhs = np.zeros(shape[0], dtype=complex)
     source = (row >= 0) & (col < 0)
-    rhs[row[source]] = -coo.data[source]
+    rhs[row[source]] = -data[source]
+    d = -1j * (n1 - n2)
+    return _Pieces(
+        order=order, a=a, pre=pre,
+        a_diag=_diagonal_slots(a), pre_diag=_diagonal_slots(pre),
+        rhs=rhs, d=d, diag=diag,
+        off_max=float(np.abs(coo.data[off]).max(initial=0.0)),
+    )
 
+
+def _residual(liou: Liouvillian, x: np.ndarray, shift: float = 0.0) -> float:
+    """||(L + shift*D) x||_2, with D applied as the diagonal it is."""
+    r = liou.matrix @ x
+    if shift:
+        r += shift * (liou.pieces().d * x)
+    return float(np.linalg.norm(r))
+
+
+def _solve_structured(
+    liou: Liouvillian, shift: float
+) -> tuple[np.ndarray | None, int, bool]:
+    """Vacuum-fixed GMRES for the fixed point of L + shift*D: (trace-normalized
+    vec(rho), iterations, converged), or (None, 0, False) when the
+    preconditioner is singular.
+
+    The LU of the probe-free part, taken in its natural (excitation) order,
+    preconditions GMRES on the driven system (see ``_build_pieces``).  The
+    shift only adds shift*D to the stored diagonals of copies.
+    """
+    import scipy.sparse.linalg as spla
+
+    p = liou.pieces()
+    a, pre = p.a, p.pre
+    if shift:
+        k = shift * p.d[p.order[1:]]
+        a, pre = a.copy(), pre.copy()
+        a.data[p.a_diag] += k
+        pre.data[p.pre_diag] += k
     try:
         lu = spla.splu(pre, permc_spec="NATURAL")
     except RuntimeError:  # the undriven generator has no unique fixed point
         return None, 0, False
-    y, iterations, converged = _gmres(a, lu.solve, rhs)
+    y, iterations, converged = _gmres(a, lu.solve, p.rhs)
     x = np.empty(liou.dim2, dtype=complex)
-    x[order] = np.concatenate(([1.0], y))
+    x[p.order] = np.concatenate(([1.0], y))
     return x / (liou.trace_vector() @ x), iterations, converged
 
 
@@ -432,24 +503,36 @@ def _solve_lu(liou: Liouvillian, threshold: float) -> np.ndarray:
     return x
 
 
-def steady_state_dm(liou: Liouvillian, info: dict | None = None) -> DensityMatrix:
-    """Unique fixed point of the generator.
+def steady_state_dm(
+    liou: Liouvillian, info: dict | None = None, shift: float = 0.0
+) -> DensityMatrix:
+    """Unique fixed point of L + shift*D, where D = -i diag(n1 - n2).
+
+    delta_p enters H as delta_p*(N - 1/2), N the excitation number, so the
+    generator at detuning delta_p is exactly L(0) + delta_p*D; a sweep
+    assembles L(0) once (with every offset in it) and passes each detuning
+    as ``shift``.  The checks made while assembling L hold for every shift:
+    N - 1/2 is real and diagonal, so H stays hermitian, and the trace
+    functional picks only n1 == n2 entries, where D vanishes, so L + shift*D
+    preserves the trace as L does.
 
     Runs GMRES on the excitation-ordered system with the vacuum population
     fixed, preconditioned by the LU of its probe-free part (see
     ``_solve_structured``).  If that factor is singular, GMRES does not
-    converge, or the residual ||L vec(rho)||_2 exceeds 1e-10 * max|L
-    entries|, it falls back to the LU of the trace-replaced generator, whose
-    residual is held to the same bound.  Rank deficiency beyond the trace
-    direction raises DegenerateSteadyStateError, a missed residual
-    SolverError.  ``info``, if given, receives the route taken
-    ("structured" or "lu"), the GMRES iterations, the residual and its
-    threshold.
+    converge, or the residual ||(L + shift*D) vec(rho)||_2 exceeds 1e-10 *
+    max|entries of L + shift*D|, it falls back to the LU of the
+    trace-replaced generator, whose residual is held to the same bound.
+    Rank deficiency beyond the trace direction raises
+    DegenerateSteadyStateError, a missed residual SolverError.  ``info``, if
+    given, receives the route taken ("structured" or "lu"), the GMRES
+    iterations, the residual and its threshold.
     """
-    threshold = RESIDUAL_TOL * float(np.abs(liou.matrix.data).max())
+    p = liou.pieces()
+    biggest = max(p.off_max, float(np.abs(p.diag + shift * p.d).max()))
+    threshold = RESIDUAL_TOL * biggest
     route = "structured"
-    x, iterations, converged = _solve_structured(liou)
-    residual = np.inf if x is None else _residual(liou, x)
+    x, iterations, converged = _solve_structured(liou, shift)
+    residual = np.inf if x is None else _residual(liou, x, shift)
     if not (converged and residual <= threshold):
         if x is not None:
             log.warning(
@@ -459,8 +542,13 @@ def steady_state_dm(liou: Liouvillian, info: dict | None = None) -> DensityMatri
                 iterations, residual, threshold,
             )
         route = "lu"
-        x = _solve_lu(liou, threshold)
-        residual = _residual(liou, x)
+        shifted = liou
+        if shift:
+            import scipy.sparse as sp
+
+            shifted = Liouvillian((liou.matrix + sp.diags(shift * p.d)).tocsr(), liou.spec)
+        x = _solve_lu(shifted, threshold)
+        residual = _residual(liou, x, shift)
 
     log.debug(
         "steady_state_dm: %s route, %d iterations, residual %.3e of %.3e",

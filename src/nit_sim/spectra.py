@@ -5,7 +5,8 @@ grid with one of three backends (closed form, mean-field relaxation, full
 master equation) and reports both quadratures plus the absorption
 A = -Im<a>.  Points are independent; the worker count (NIT_SIM_THREADS,
 default 1, used by the quantum backend only) can change wall time but
-never values.
+never values.  The master-equation workers share one generator, assembled
+once per sweep: a detuning only shifts its diagonal.
 
 Symmetric requests (delta_min == -delta_max, odd point count) get a grid
 built by mirroring the non-negative half, so it is exactly symmetric in
@@ -107,13 +108,19 @@ def quantum_expectations(systems, spec: HilbertSpec, operators) -> np.ndarray:
     """trace(op . rho) of each operator in the steady state of each point,
     as a (len(operators), len(systems)) array.
 
-    Points are solved on NIT_SIM_THREADS workers; a failure at any point is
-    re-raised with its detuning attached.
+    The points may differ only in delta_p.  Their generator is assembled
+    once, at delta_p = 0, and each point is solved as its detuning's shift
+    of it (see ``steady_state_dm``) on NIT_SIM_THREADS workers that share
+    it; a failure at any point is re-raised with its detuning attached.
     """
+    base = replace(systems[0], delta_p=0.0)
+    if any(replace(s, delta_p=0.0) != base for s in systems):
+        raise DomainError("master-equation points must differ only in delta_p")
+    liou = build_liouvillian(base, spec)
 
     def solve_point(sys_i: SystemParams) -> list[complex]:
         try:
-            rho = steady_state_dm(build_liouvillian(sys_i, spec))
+            rho = steady_state_dm(liou, shift=sys_i.delta_p)
             return [expectation(op, rho) for op in operators]
         except NumericalError as exc:
             raise _wrap_point_error(exc, sys_i.delta_p) from exc

@@ -304,6 +304,18 @@ class TestDiagnostics:
         with pytest.raises(ConfigError, match=r"\[sweep\]: .*exceeds the cap"):
             parse_config(text)
 
+    def test_validate_truncation_past_the_cap(self, tmp_path, capsys):
+        text = SWEEP_TEXT.replace("command = sweep", "command = validate")
+        text = text.split("[sweep]")[0] + "[validate]\nn_a = 20\nn_b = 20\n"
+        with pytest.raises(ConfigError, match=r"\[validate\]: .*exceeds the cap"):
+            parse_config(text)
+        path = tmp_path / "validate.ini"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["validate", "--config", str(path), "--out", str(out)]) == 2
+        assert "[validate]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_truncation_is_ignored_off_the_quantum_backend(self):
         text = SWEEP_TEXT.replace("n_points = 201", "n_points = 201\nn_a = 300\nn_b = 300")
         assert parse_config(text).sweep.quantum_spec is None

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +31,7 @@ from nit_sim import (
     trace_distance,
     vacuum_state,
 )
+from nit_sim import quantum
 from nit_sim.quantum import GMRES_RESTART, GMRES_RTOL, _gmres, _solve_lu
 from nit_sim.spectra import detuning_grid
 
@@ -141,6 +144,37 @@ class TestLiouvillian:
         assert liou.trace_defect() <= 1e-10
         assert liou.dim2 == SPEC44.dim**2
 
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(delta_b_offset=0.07, delta_q_offset=-0.05),
+            dict(epsilon=0.02 - 0.03j),
+            dict(gamma=0.0, gamma_phi=0.0),
+        ],
+        ids=["offsets", "complex-eps", "undamped-qubit"],
+    )
+    def test_detuning_shifts_only_the_diagonal(self, n, overrides):
+        # L(s) = L(0) + s*D, D = -i diag(n1 - n2), n the excitation number
+        spec = HilbertSpec(n, n)
+        exc = np.array([
+            q + na + nb for q in range(2) for na in range(n) for nb in range(n)
+        ])
+        d = sp.diags(-1j * (exc[:, None] - exc[None, :]).ravel(order="F"))
+        base = weak_drive_system(**overrides)
+        liou0 = build_liouvillian(base, spec)
+        l0 = liou0.matrix
+        if "gamma" in overrides:  # the qubit coherence's diagonal entry vanishes
+            coherence = idx(spec, 1, 0, 0)  # |e,0,0><g,0,0|
+            assert l0[coherence, coherence] == 0.0
+        for s in (-1.5, 0.37, 1.5):
+            liou = build_liouvillian(replace(base, delta_p=s), spec)
+            ls = liou.matrix
+            defect = abs(l0 + s * d - ls).max()
+            assert defect <= 1e-14 * abs(ls).max()
+            rho = steady_state_dm(liou0, shift=s)
+            assert trace_distance(rho, steady_state_dm(liou)) < 1e-13
+
     def test_photon_decay_closed_form(self):
         spec = HilbertSpec(3, 2)
         liou = build_liouvillian(lossy_mode_system(), spec)
@@ -216,9 +250,11 @@ class TestSteadyState:
         ids=["offsets", "eps0.3"],
     )
     def test_structured_route_matches_lu_reference(self, overrides):
+        # per point (L assembled at each detuning) and per sweep (L(0) shifted)
         spec = HilbertSpec(5, 5)
         a_op = build_operators(spec).a
-        worst = 0.0
+        l0 = build_liouvillian(weak_drive_system(**overrides), spec)
+        worst = worst_sweep = sweep_vs_point = 0.0
         for d in detuning_grid(-1.5, 1.5, 11):
             liou = build_liouvillian(
                 weak_drive_system(delta_p=float(d), **overrides), spec
@@ -226,10 +262,18 @@ class TestSteadyState:
             info: dict = {}
             a_fast = expectation(a_op, steady_state_dm(liou, info=info))
             assert info["route"] == "structured"
+            shifted: dict = {}
+            a_sweep = expectation(a_op, steady_state_dm(l0, info=shifted, shift=float(d)))
+            assert shifted["route"] == "structured"
+            assert shifted["residual"] <= shifted["threshold"]
             x = _solve_lu(liou, info["threshold"])
             a_ref = expectation(a_op, x.reshape(spec.dim, spec.dim, order="F"))
             worst = max(worst, abs(a_fast - a_ref) / abs(a_ref))
+            worst_sweep = max(worst_sweep, abs(a_sweep - a_ref) / abs(a_ref))
+            sweep_vs_point = max(sweep_vs_point, abs(a_sweep - a_fast) / abs(a_fast))
         assert worst <= 1e-12
+        assert worst_sweep <= 1e-12
+        assert sweep_vs_point <= 1e-13
 
     def test_strong_drive_falls_back_to_lu(self, caplog):
         liou = build_liouvillian(
@@ -242,6 +286,20 @@ class TestSteadyState:
         assert "falling back to LU" in caplog.text
         resid = np.linalg.norm(liou.matrix @ rho.matrix.ravel(order="F"))
         assert resid <= info["threshold"]
+        assert info["residual"] <= info["threshold"]
+
+    def test_shifted_strong_drive_falls_back_to_lu(self, caplog):
+        spec = HilbertSpec(5, 5)
+        l0 = build_liouvillian(weak_drive_system(epsilon=1.0), spec)
+        info: dict = {}
+        with caplog.at_level(logging.WARNING, logger="nit_sim.quantum"):
+            rho = steady_state_dm(l0, info=info, shift=0.3)
+        assert info["route"] == "lu"
+        assert "falling back to LU" in caplog.text
+        # the residual is held against the generator assembled at the shift
+        ls = build_liouvillian(weak_drive_system(epsilon=1.0, delta_p=0.3), spec).matrix
+        assert info["threshold"] == pytest.approx(1e-10 * np.abs(ls.data).max(), rel=1e-14)
+        assert np.linalg.norm(ls @ rho.matrix.ravel(order="F")) <= info["threshold"]
         assert info["residual"] <= info["threshold"]
 
     @pytest.mark.parametrize("delta_p", [0.0, 0.3])
@@ -282,6 +340,32 @@ class TestSteadyState:
             with pytest.raises(DegenerateSteadyStateError):
                 steady_state_dm(build_liouvillian(lossy_mode_system(), SPEC22))
         assert not caplog.records  # a singular preconditioner is no GMRES miss
+
+    def test_concurrent_first_solves_share_one_split(self, monkeypatch):
+        # more workers than cores, switching often: the pieces of one
+        # generator are built once and every shift gets its own fixed point
+        built = []
+        real = quantum._build_pieces
+        monkeypatch.setattr(
+            quantum, "_build_pieces", lambda liou: built.append(1) or real(liou)
+        )
+        spec = HilbertSpec(3, 3)
+        shifts = [float(d) for d in detuning_grid(-1.5, 1.5, 16)]
+        want = [steady_state_dm(build_liouvillian(weak_drive_system(), spec), shift=s)
+                for s in shifts]
+        built.clear()
+        liou = build_liouvillian(weak_drive_system(), spec)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(steady_state_dm, liou, shift=s) for s in shifts]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(built) == 1
+        for rho, ref in zip(got, want):
+            assert np.array_equal(rho.matrix, ref.matrix)
 
     @pytest.mark.parametrize("scale, restarted", [(0.1, False), (0.22, True)])
     def test_gmres_solves_a_generic_complex_system(self, scale, restarted):

@@ -26,8 +26,8 @@ from nit_sim import (
     sweep,
     to_csv_text,
 )
-from nit_sim.quantum import HilbertSpec
-from nit_sim.spectra import CSV_HEADER, MIN_WINDOW_POINTS, worker_count
+from nit_sim.quantum import HilbertSpec, build_operators
+from nit_sim.spectra import CSV_HEADER, MIN_WINDOW_POINTS, quantum_expectations, worker_count
 
 from conftest import (
     decoupled_system,
@@ -130,15 +130,22 @@ class TestSweep:
         with pytest.raises(DegenerateSteadyStateError, match="at delta_p="):
             sweep(cfg)
 
+    def test_quantum_points_share_all_but_the_detuning(self):
+        spec = HilbertSpec(2, 2)
+        a_op = build_operators(spec).a
+        points = [weak_drive_system(delta_p=0.3), weak_drive_system(gamma=0.2)]
+        with pytest.raises(DomainError, match="only in delta_p"):
+            quantum_expectations(points, spec, [a_op])
+
     def test_backends_look_up_their_solvers_at_call_time(self, monkeypatch):
         """Per-layer profilers wrap these module-level names of
         nit_sim.spectra; a name bound anywhere else would bypass them."""
         calls = {}
         for name in ("steady_state", "build_liouvillian", "steady_state_dm",
                      "expectation"):
-            def counting(*args, _fn=getattr(spectra, name), _name=name):
+            def counting(*args, _fn=getattr(spectra, name), _name=name, **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
-                return _fn(*args)
+                return _fn(*args, **kwargs)
 
             monkeypatch.setattr(spectra, name, counting)
 
@@ -149,7 +156,8 @@ class TestSweep:
         calls.clear()
         sweep(SweepConfig(weak_drive_system(), -0.6, 0.6, 3, backend="quantum",
                           quantum_spec=HilbertSpec(3, 3)))
-        assert calls == {"build_liouvillian": 3, "steady_state_dm": 3, "expectation": 3}
+        # one generator per sweep, shifted to each of the three detunings
+        assert calls == {"build_liouvillian": 1, "steady_state_dm": 3, "expectation": 3}
 
 
 class TestCsv:
