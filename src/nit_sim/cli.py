@@ -99,6 +99,15 @@ def _system_dict(s) -> dict:
     }
 
 
+def _amplitude_fields(state) -> dict:
+    """Re and im parts of <a>, <b> and <sigma_-> of a steady or evolved state."""
+    out = {}
+    for name in ("a", "b", "sigma_minus"):
+        z = getattr(state, name)
+        out[f"{name}_re"], out[f"{name}_im"] = z.real, z.imag
+    return out
+
+
 def _write_text(outdir: Path, name: str, text: str, files: list[str]) -> None:
     (outdir / name).write_text(text, encoding="utf-8")
     files.append(name)
@@ -113,12 +122,7 @@ def _cmd_steady(cfg: RunConfig, outdir: Path, files: list[str]) -> tuple[dict, b
     ss = steady_state(cfg.system)
     result = {
         "delta_p": cfg.system.delta_p,
-        "a_re": ss.a.real,
-        "a_im": ss.a.imag,
-        "b_re": ss.b.real,
-        "b_im": ss.b.imag,
-        "sigma_minus_re": ss.sigma_minus.real,
-        "sigma_minus_im": ss.sigma_minus.imag,
+        **_amplitude_fields(ss),
         "absorption": ss.absorption,
     }
     print(f"steady state at delta_p = {cfg.system.delta_p:g} (kappa_a units)")
@@ -195,14 +199,7 @@ def _cmd_evolve(cfg: RunConfig, outdir: Path, files: list[str]) -> tuple[dict, b
             "rel_tol": ev.rel_tol,
             "abs_tol": ev.abs_tol,
             "n_steps": len(traj) - 1,
-            "final": {
-                "a_re": final.a.real,
-                "a_im": final.a.imag,
-                "b_re": final.b.real,
-                "b_im": final.b.imag,
-                "sigma_minus_re": final.sigma_minus.real,
-                "sigma_minus_im": final.sigma_minus.imag,
-            },
+            "final": _amplitude_fields(final),
         }
     }
     return payload, True
@@ -358,15 +355,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 4
-
-    try:
-        cfg = parse_config(text)
+        cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
         if cfg.command != args.command:
             raise ConfigError(
                 f"config sets command = {cfg.command!r} but the command "
@@ -387,20 +377,11 @@ def main(argv: list[str] | None = None) -> int:
                 "svg output is only defined for the sweep command "
                 "(single-spectrum plot)"
             )
-    except (ConfigError, DomainError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
 
-    outdir = Path(cfg.output_dir)
-    try:
+        outdir = Path(cfg.output_dir)
         outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 4
-
-    files: list[str] = []
-    start = time.perf_counter()
-    try:
+        files: list[str] = []
+        start = time.perf_counter()
         payload, ok = _DISPATCH[cfg.command](cfg, outdir, files)
         run_meta = {
             "tool": "nit-sim",

@@ -13,6 +13,7 @@ reproduces `cfg` exactly (floats via repr round-trip).
 
 from __future__ import annotations
 
+import cmath
 import difflib
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Callable
@@ -95,11 +96,18 @@ class RunConfig:
         return self.blocks["system"]["kappa_a"]
 
 
+def _finite(value, raw: str):
+    if not cmath.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
+
+
 def _num(raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ValueError(f"expected a number, got {raw!r}") from None
+    return _finite(value, raw)
 
 
 def _intval(raw: str) -> int:
@@ -111,11 +119,12 @@ def _intval(raw: str) -> int:
 
 def _cplx(raw: str) -> complex:
     try:
-        return complex(raw.replace(" ", ""))
+        value = complex(raw.replace(" ", ""))
     except ValueError:
         raise ValueError(
             f"expected a real or complex number, got {raw!r}"
         ) from None
+    return _finite(value, raw)
 
 
 def _enum(options: tuple[str, ...]) -> Callable[[str], str]:

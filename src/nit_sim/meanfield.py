@@ -117,23 +117,22 @@ def _run_bank(
     y0,
     *,
     horizon: float,
-    resid_target=None,
+    resid_target,
     rel_tol: float,
     abs_tol: float,
     record=None,
 ):
     """Advance a bank of independent 3-component linear systems.
 
-    Two termination modes: with ``resid_target`` (an (n,) array) a point
-    stops once ||ds/dt||_2 falls to its target, otherwise it stops when it
-    reaches ``horizon``.  Returns (y, t, converged, expired).
+    A point stops once ||ds/dt||_2 falls to its ``resid_target`` (an (n,)
+    array, or -inf for none) or once it lands on ``horizon``.  Returns
+    (y, t, met): met marks the points that reached their target.
 
     Every update below is elementwise in the point index; nothing couples
     points, which both parallelizes the sweep and pins its determinism.
     """
     J00, J01, J10, J11, J12, J21, J22 = rows
     n = c0.shape[0]
-    residual_mode = resid_target is not None
 
     def f(y):
         out = np.empty_like(y)
@@ -148,11 +147,7 @@ def _run_bank(
     y = np.array(y0, dtype=complex, copy=True)
     t = np.zeros(n)
     k1 = f(y)
-
-    done = np.zeros(n, dtype=bool)
-    expired = np.zeros(n, dtype=bool)
-    if residual_mode:
-        done |= vec_norm(k1) <= resid_target
+    met = vec_norm(k1) <= resid_target
 
     # conservative first step from the row-sum bound on the spectral radius
     wmax = np.maximum(
@@ -166,11 +161,7 @@ def _run_bank(
     h_floor = _UNDERFLOW_FRACTION * horizon
 
     while True:
-        active = ~(done | expired)
-        if residual_mode:
-            newly_expired = active & (t >= horizon)
-            expired |= newly_expired
-            active &= ~newly_expired
+        active = ~met & (t < horizon)  # a landed point sits exactly on it
         if not active.any():
             break
         if (active & (h < h_floor)).any():
@@ -202,11 +193,7 @@ def _run_bank(
         y = np.where(acc, y_new, y)
         t = np.where(accept & landed, horizon, np.where(accept, t + h_step, t))
         k1 = np.where(acc, k7, k1)
-
-        if residual_mode:
-            done |= accept & (vec_norm(k7) <= resid_target)
-        else:
-            done |= accept & landed
+        met |= accept & (vec_norm(k7) <= resid_target)
 
         with np.errstate(divide="ignore", over="ignore"):
             inv_root = _SAFETY * err_norm ** -0.2
@@ -220,7 +207,7 @@ def _run_bank(
         if record is not None and accept[0]:
             record.append((t[0], y[:, 0].copy()))
 
-    return y, t, done, expired
+    return y, t, met
 
 
 def integrate(
@@ -245,11 +232,12 @@ def integrate(
     rows, c0 = _bank_arrays([sys])
     span = t_end - s0.t
     rec: list[tuple[float, np.ndarray]] = []
-    y, _, _, _ = _run_bank(
+    _run_bank(
         rows,
         c0,
         s0.vector.reshape(3, 1),
         horizon=span,
+        resid_target=-np.inf,
         rel_tol=rel_tol,
         abs_tol=abs_tol,
         record=rec,
@@ -280,19 +268,16 @@ def relax_to_steady_state(
     sys: SystemParams,
     tol: float = 1e-8,
     max_time: float = DEFAULT_MAX_TIME,
-    rel_tol: float | None = None,
-    abs_tol: float | None = None,
 ) -> MeanFieldState:
     """Integrate from the zero state until the flow stalls.
 
     Convergence criterion: ||ds/dt||_2 <= tol * ||(eps, 0, 0)||_2, i.e. the
     residual is measured against the drive that feeds the system.  The
-    integration tolerances default to values slaved to ``tol`` (see
-    relax_many).  Raises ConvergenceError (reporting the slowest decay
-    rate) if the criterion is not met within ``max_time``.
+    integration tolerances are slaved to ``tol`` (see relax_many).  Raises
+    ConvergenceError (reporting the slowest decay rate) if the criterion is
+    not met within ``max_time``.
     """
-    out = relax_many([sys], tol=tol, max_time=max_time,
-                     rel_tol=rel_tol, abs_tol=abs_tol)
+    out = relax_many([sys], tol=tol, max_time=max_time)
     a, b, sm, t = out[0, 0], out[1, 0], out[2, 0], out[3, 0].real
     return MeanFieldState(a, b, sm, t)
 
@@ -301,21 +286,18 @@ def relax_many(
     systems: Sequence[SystemParams],
     tol: float = 1e-8,
     max_time: float = DEFAULT_MAX_TIME,
-    rel_tol: float | None = None,
-    abs_tol: float | None = None,
 ) -> np.ndarray:
     """Relax a batch of independent parameter points to their fixed points.
 
     Returns a (4, n) complex array: rows are the final <a>, <b>, <sigma_->
     and (real, as complex storage) the time each point needed.
 
-    Unless pinned explicitly, the step-error tolerances are derived from
-    the convergence tolerance (rel_tol = tol/100, abs_tol per point =
-    tol*|eps|/100): near the fixed point the integrator's error floor is
-    rel_tol*|s|, and the residual can only be certified below
-    tol*|eps| if that floor sits well under the target.  The derived
-    values depend on each point alone, never on the batch, so batching
-    cannot change results.
+    The step-error tolerances are derived from the convergence tolerance
+    (rel_tol = tol/100, abs_tol per point = tol*|eps|/100): near the fixed
+    point the integrator's error floor is rel_tol*|s|, and the residual can
+    only be certified below tol*|eps| if that floor sits well under the
+    target.  The derived values depend on each point alone, never on the
+    batch, so batching cannot change results.
     """
     if not 0.0 < tol <= 1e-2:
         raise DomainError(f"tol must lie in (0, 1e-2], got {tol!r}")
@@ -325,12 +307,10 @@ def relax_many(
     rows, c0 = _bank_arrays(systems)
     n = c0.shape[0]
     resid_target = tol * np.abs(c0)  # |c| = |eps|
-    if rel_tol is None:
-        rel_tol = min(1e-8, tol / 100.0)
-    if abs_tol is None:
-        abs_tol = np.clip(resid_target / 100.0, 1e-300, 1e-2)
-    _check_tols(rel_tol, abs_tol)
-    y, t, done, expired = _run_bank(
+    rel_tol = min(1e-8, tol / 100.0)
+    abs_tol = np.clip(resid_target / 100.0, 1e-300, 1e-2)
+    _check_tols(rel_tol, abs_tol)  # a NaN eps makes abs_tol NaN
+    y, t, met = _run_bank(
         rows,
         c0,
         np.zeros((3, n), dtype=complex),
@@ -339,8 +319,8 @@ def relax_many(
         rel_tol=rel_tol,
         abs_tol=abs_tol,
     )
-    if expired.any():
-        i = int(np.flatnonzero(expired)[0])
+    if not met.all():
+        i = int(np.flatnonzero(~met)[0])
         rate = slowest_decay_rate(systems[i])
         raise ConvergenceError(
             f"no steady state within max_time={max_time:g} at "

@@ -55,7 +55,7 @@ class SystemParams:
             raise DomainError(f"kappa_a must be > 0, got {self.kappa_a!r}")
         for name in ("lam", "g", "kappa_b", "gamma", "gamma_phi"):
             v = getattr(self, name)
-            if v < 0:
+            if not v >= 0:
                 raise DomainError(f"{name} must be >= 0, got {v!r}")
         object.__setattr__(self, "epsilon", complex(self.epsilon))
 

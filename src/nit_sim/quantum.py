@@ -24,7 +24,7 @@ coherence at 4c.
 from __future__ import annotations
 
 import logging
-import threading
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -56,6 +56,8 @@ GMRES_RTOL = 1e-13
 GMRES_RESTART = 50
 GMRES_CYCLES = 2  # restarts: at most 100 iterations before the LU fallback
 DIM2_CAP = 250_000  # superoperator dimension dim^2
+_PROBE_TOL = 1e-9  # rwa_error_probe: relative step tolerance
+_PROBE_SAMPLES = 81  # evenly spaced times at which it compares the states
 
 
 @dataclass(frozen=True)
@@ -158,12 +160,16 @@ def build_hamiltonian(sys: SystemParams, spec: HilbertSpec) -> sp.csr_matrix:
 
 @dataclass(frozen=True, eq=False)
 class Liouvillian:
-    """Sparse generator acting on column-vectorized density matrices."""
+    """Sparse generator acting on column-vectorized density matrices, with
+    the shift-independent parts of its steady-state solve (``pieces``, see
+    ``_build_pieces``), built once here."""
 
     matrix: sp.csr_matrix
     spec: HilbertSpec
-    _pieces: _Pieces | None = field(default=None, init=False, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
+    pieces: _Pieces = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "pieces", _build_pieces(self))
 
     @property
     def dim(self) -> int:
@@ -182,14 +188,6 @@ class Liouvillian:
     def trace_defect(self) -> float:
         """Max abs of the trace functional applied to the generator columns."""
         return float(np.max(np.abs(self.trace_vector() @ self.matrix)))
-
-    def pieces(self) -> _Pieces:
-        """The shift-independent parts of the steady-state solve, built on
-        first use; threads that ask at the same time share one build."""
-        with self._lock:
-            if self._pieces is None:
-                object.__setattr__(self, "_pieces", _build_pieces(self))
-            return self._pieces
 
 
 def _lmul(op: sp.spmatrix, ident: sp.spmatrix) -> sp.csr_matrix:
@@ -370,7 +368,7 @@ def _residual(liou: Liouvillian, x: np.ndarray, shift: float = 0.0) -> float:
     """||(L + shift*D) x||_2, with D applied as the diagonal it is."""
     r = liou.matrix @ x
     if shift:
-        r += shift * (liou.pieces().d * x)
+        r += shift * (liou.pieces.d * x)
     return float(np.linalg.norm(r))
 
 
@@ -387,7 +385,7 @@ def _solve_structured(
     """
     import scipy.sparse.linalg as spla
 
-    p = liou.pieces()
+    p = liou.pieces
     a, pre = p.a, p.pre
     if shift:
         k = shift * p.d[p.order[1:]]
@@ -460,24 +458,24 @@ def _gmres(a, precond, b: np.ndarray) -> tuple[np.ndarray, int, bool]:
     return x, iterations, False
 
 
-def _solve_lu(liou: Liouvillian, threshold: float) -> np.ndarray:
-    """Reference route: LU of the generator with row 0 (a diagonal-element
-    row, hence redundant by trace preservation) swapped for the trace
-    functional, plus iterative refinement.  Returns vec(rho) once its
-    residual meets ``threshold``."""
+def _solve_lu(matrix: sp.spmatrix, threshold: float) -> np.ndarray:
+    """Reference route: LU of the generator ``matrix`` with row 0 (a
+    diagonal-element row, hence redundant by trace preservation) swapped for
+    the trace functional, plus iterative refinement.  Returns vec(rho) once
+    its residual ||matrix vec(rho)||_2 meets ``threshold``."""
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    coo = liou.matrix.tocoo()
+    coo = matrix.tocoo()
     keep = coo.row != 0
-    dim = liou.dim
+    dim = math.isqrt(coo.shape[0])
     rows = np.concatenate([coo.row[keep], np.zeros(dim, dtype=coo.row.dtype)])
     cols = np.concatenate(
         [coo.col[keep], (np.arange(dim) * (dim + 1)).astype(coo.col.dtype)]
     )
     data = np.concatenate([coo.data[keep], np.ones(dim, dtype=coo.data.dtype)])
     m = sp.coo_matrix((data, (rows, cols)), shape=coo.shape).tocsc()
-    rhs_ = np.zeros(liou.dim2, dtype=complex)
+    rhs_ = np.zeros(coo.shape[0], dtype=complex)
     rhs_[0] = 1.0
 
     try:
@@ -495,7 +493,7 @@ def _solve_lu(liou: Liouvillian, threshold: float) -> np.ndarray:
             break
         x = x + lu.solve(r)
 
-    residual = _residual(liou, x)
+    residual = float(np.linalg.norm(matrix @ x))
     if not residual <= threshold:  # also catches a non-finite solution
         raise SolverError(
             f"steady-state residual {residual:.3e} exceeds {threshold:.3e}"
@@ -527,7 +525,7 @@ def steady_state_dm(
     given, receives the route taken ("structured" or "lu"), the GMRES
     iterations, the residual and its threshold.
     """
-    p = liou.pieces()
+    p = liou.pieces
     biggest = max(p.off_max, float(np.abs(p.diag + shift * p.d).max()))
     threshold = RESIDUAL_TOL * biggest
     route = "structured"
@@ -542,11 +540,11 @@ def steady_state_dm(
                 iterations, residual, threshold,
             )
         route = "lu"
-        shifted = liou
+        shifted = liou.matrix
         if shift:
             import scipy.sparse as sp
 
-            shifted = Liouvillian((liou.matrix + sp.diags(shift * p.d)).tocsr(), liou.spec)
+            shifted = (shifted + sp.diags(shift * p.d)).tocsr()
         x = _solve_lu(shifted, threshold)
         residual = _residual(liou, x, shift)
 
@@ -633,8 +631,6 @@ def rwa_error_probe(
     spec: HilbertSpec,
     omega_sum: float,
     t_end: float = 2.0,
-    tol: float = 1e-9,
-    n_sample: int = 81,
 ) -> float:
     """Size of the dropped counter-rotating terms at carrier scale omega_sum.
 
@@ -679,14 +675,14 @@ def rwa_error_probe(
         (0.0, t_end),
         w0,
         method="RK45",
-        t_eval=np.linspace(0.0, t_end, n_sample),
-        rtol=tol,
-        atol=tol * 1e-3,
+        t_eval=np.linspace(0.0, t_end, _PROBE_SAMPLES),
+        rtol=_PROBE_TOL,
+        atol=_PROBE_TOL * 1e-3,
     )
     if not sol.success:
         warnings.warn(
             f"probe integration stopped early ({sol.message}); "
-            "consider a looser tol -- using the partial scan",
+            "using the partial scan",
             stacklevel=2,
         )
     worst = 0.0

@@ -3,10 +3,10 @@
 A sweep evaluates the stationary driven-mode amplitude on a uniform detuning
 grid with one of three backends (closed form, mean-field relaxation, full
 master equation) and reports both quadratures plus the absorption
-A = -Im<a>.  Points are independent; the worker count (NIT_SIM_THREADS,
-default 1, used by the quantum backend only) can change wall time but
-never values.  The master-equation workers share one generator, assembled
-once per sweep: a detuning only shifts its diagonal.
+A = -Im<a>.  Points are independent.  The quantum backend solves them on a
+pool of NIT_SIM_THREADS workers (default 1; the pool runs at every count),
+which can change wall time but never values; the workers share one
+generator, assembled once per sweep: a detuning only shifts its diagonal.
 
 Symmetric requests (delta_min == -delta_max, odd point count) get a grid
 built by mirroring the non-negative half, so it is exactly symmetric in
@@ -111,7 +111,8 @@ def quantum_expectations(systems, spec: HilbertSpec, operators) -> np.ndarray:
     The points may differ only in delta_p.  Their generator is assembled
     once, at delta_p = 0, and each point is solved as its detuning's shift
     of it (see ``steady_state_dm``) on NIT_SIM_THREADS workers that share
-    it; a failure at any point is re-raised with its detuning attached.
+    it.  A failure at any point cancels the points not yet started and is
+    re-raised with its detuning attached.
     """
     base = replace(systems[0], delta_p=0.0)
     if any(replace(s, delta_p=0.0) != base for s in systems):
@@ -125,12 +126,8 @@ def quantum_expectations(systems, spec: HilbertSpec, operators) -> np.ndarray:
         except NumericalError as exc:
             raise _wrap_point_error(exc, sys_i.delta_p) from exc
 
-    n_workers = worker_count()
-    if n_workers == 1:
-        rows = [solve_point(s) for s in systems]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            rows = list(pool.map(solve_point, systems))
+    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+        rows = list(pool.map(solve_point, systems))
     return np.array(rows, dtype=complex).T
 
 

@@ -236,6 +236,20 @@ class TestFailureModes:
         assert code == 4
         assert "i/o error" in capsys.readouterr().err
 
+    def test_output_path_under_a_file(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(STEADY_CFG, encoding="utf-8")
+        out = cfg_file / "out"
+        assert main(["steady", "--config", str(cfg_file), "--out", str(out)]) == 4
+        assert "i/o error" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("run.json"))
+
+    def test_config_path_is_a_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["steady", "--config", str(tmp_path), "--out", str(out)]) == 4
+        assert "i/o error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_every_command_has_a_handler(self):
         assert set(cli._DISPATCH) == set(config.COMMANDS)
 

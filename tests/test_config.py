@@ -326,6 +326,34 @@ class TestDiagnostics:
         with pytest.raises(ConfigError, match=r"\[dephasing\]"):
             parse_config(text)
 
+    @pytest.mark.parametrize(
+        "command, old, new, key, raw",
+        [
+            ("dephasing-scan", "gamma_phi_values = 1e-3",
+             "gamma_phi_values = 1e-3, nan, inf", "gamma_phi_values", "nan"),
+            ("steady", "delta_p = 0", "delta_p = inf", "delta_p", "inf"),
+            ("steady", "epsilon = 0.03", "epsilon = nan", "epsilon", "nan"),
+            ("evolve", "t_end = 40", "t_end = inf", "t_end", "inf"),
+        ],
+        ids=["dephasing-nan", "delta_p-inf", "epsilon-nan", "t_end-inf"],
+    )
+    def test_non_finite_number(self, tmp_path, capsys, command, old, new, key, raw):
+        text = as_command(
+            command, "[dephasing]\ngamma_phi_values = 1e-3\n\n[evolve]\nt_end = 40\n"
+        ).replace("gamma_phi = 1e-3\n", "gamma_phi = 1e-3\ndelta_p = 0\n")
+        text = text.replace(old, new)
+        lineno = text.splitlines().index(new) + 1
+        msg = f"line {lineno}: {key}: expected a finite number, got '{raw}'"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value) == msg
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert msg in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("text", [SWEEP_TEXT, SI_TEXT])

@@ -56,6 +56,13 @@ class TestSystemParams:
         with pytest.raises(DomainError, match=name):
             matched_system(**{name: -1e-3})
 
+    @pytest.mark.parametrize(
+        "name", ["kappa_a", "lam", "g", "kappa_b", "gamma", "gamma_phi"]
+    )
+    def test_rejects_nan_rates(self, name):
+        with pytest.raises(DomainError, match=name):
+            matched_system(**{name: math.nan})
+
     def test_epsilon_coerced_to_complex(self):
         s = matched_system(epsilon=0.03)
         assert isinstance(s.epsilon, complex)

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import logging
 import math
-import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -31,7 +29,6 @@ from nit_sim import (
     trace_distance,
     vacuum_state,
 )
-from nit_sim import quantum
 from nit_sim.quantum import GMRES_RESTART, GMRES_RTOL, _gmres, _solve_lu
 from nit_sim.spectra import detuning_grid
 
@@ -266,7 +263,7 @@ class TestSteadyState:
             a_sweep = expectation(a_op, steady_state_dm(l0, info=shifted, shift=float(d)))
             assert shifted["route"] == "structured"
             assert shifted["residual"] <= shifted["threshold"]
-            x = _solve_lu(liou, info["threshold"])
+            x = _solve_lu(liou.matrix, info["threshold"])
             a_ref = expectation(a_op, x.reshape(spec.dim, spec.dim, order="F"))
             worst = max(worst, abs(a_fast - a_ref) / abs(a_ref))
             worst_sweep = max(worst_sweep, abs(a_sweep - a_ref) / abs(a_ref))
@@ -340,32 +337,6 @@ class TestSteadyState:
             with pytest.raises(DegenerateSteadyStateError):
                 steady_state_dm(build_liouvillian(lossy_mode_system(), SPEC22))
         assert not caplog.records  # a singular preconditioner is no GMRES miss
-
-    def test_concurrent_first_solves_share_one_split(self, monkeypatch):
-        # more workers than cores, switching often: the pieces of one
-        # generator are built once and every shift gets its own fixed point
-        built = []
-        real = quantum._build_pieces
-        monkeypatch.setattr(
-            quantum, "_build_pieces", lambda liou: built.append(1) or real(liou)
-        )
-        spec = HilbertSpec(3, 3)
-        shifts = [float(d) for d in detuning_grid(-1.5, 1.5, 16)]
-        want = [steady_state_dm(build_liouvillian(weak_drive_system(), spec), shift=s)
-                for s in shifts]
-        built.clear()
-        liou = build_liouvillian(weak_drive_system(), spec)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(steady_state_dm, liou, shift=s) for s in shifts]
-                got = [f.result(timeout=60) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(built) == 1
-        for rho, ref in zip(got, want):
-            assert np.array_equal(rho.matrix, ref.matrix)
 
     @pytest.mark.parametrize("scale, restarted", [(0.1, False), (0.22, True)])
     def test_gmres_solves_a_generic_complex_system(self, scale, restarted):

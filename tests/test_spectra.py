@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from nit_sim import (
     DegenerateSteadyStateError,
     DomainError,
     SingularityError,
+    SolverError,
     SweepConfig,
     SystemParams,
     analyze_windows,
@@ -129,6 +131,27 @@ class TestSweep:
         )
         with pytest.raises(DegenerateSteadyStateError, match="at delta_p="):
             sweep(cfg)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_point_cancels_the_points_not_started(self, monkeypatch, workers):
+        monkeypatch.setenv("NIT_SIM_THREADS", str(workers))
+        calls = []
+        real = spectra.steady_state_dm
+
+        def first_fails(liou, shift=0.0, **kwargs):
+            calls.append(shift)
+            if shift == -1.5:
+                raise SolverError("injected")
+            time.sleep(0.2)  # time for the sweep to cancel the rest
+            return real(liou, shift=shift, **kwargs)
+
+        monkeypatch.setattr(spectra, "steady_state_dm", first_fails)
+        cfg = SweepConfig(weak_drive_system(), -1.5, 1.5, 11, backend="quantum",
+                          quantum_spec=HilbertSpec(3, 3))
+        with pytest.raises(SolverError, match=r"^at delta_p=-1\.5: injected$"):
+            sweep(cfg)
+        assert -1.5 in calls
+        assert len(calls) <= workers + 1
 
     def test_quantum_points_share_all_but_the_detuning(self):
         spec = HilbertSpec(2, 2)
