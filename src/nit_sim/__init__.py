@@ -28,7 +28,6 @@ from .meanfield import (
     integrate,
     relax_many,
     relax_to_steady_state,
-    rhs,
 )
 from .model import (
     PhysicalParams,
@@ -46,7 +45,6 @@ from .quantum import (
     build_hamiltonian,
     build_liouvillian,
     build_operators,
-    closure_defect,
     evolve,
     expectation,
     rwa_error_probe,
@@ -55,66 +53,13 @@ from .quantum import (
     vacuum_state,
 )
 from .spectra import (
-    CompareReport,
     Spectrum,
     SweepConfig,
     WindowReport,
     analyze_windows,
-    compare,
     dephasing_scan,
     detuning_grid,
     sweep,
     to_csv_text,
 )
 
-__all__ = [
-    "__version__",
-    "CompareReport",
-    "ConfigError",
-    "ConvergenceError",
-    "DegenerateSteadyStateError",
-    "DensityMatrix",
-    "DomainError",
-    "EffectiveDetunings",
-    "HilbertSpec",
-    "Liouvillian",
-    "MeanFieldState",
-    "NumericalError",
-    "OperatorSet",
-    "PhysicalParams",
-    "SingularityError",
-    "SolverError",
-    "Spectrum",
-    "SteadyState",
-    "StiffnessError",
-    "SweepConfig",
-    "SystemParams",
-    "WindowReport",
-    "ZERO_STATE",
-    "analyze_windows",
-    "build_hamiltonian",
-    "build_liouvillian",
-    "build_operators",
-    "closure_defect",
-    "compare",
-    "dephasing_scan",
-    "derive_g",
-    "derive_lambda",
-    "detuning_grid",
-    "effective_detunings",
-    "evolve",
-    "expectation",
-    "integrate",
-    "lamb_dicke",
-    "normalize",
-    "relax_many",
-    "relax_to_steady_state",
-    "rhs",
-    "rwa_error_probe",
-    "steady_state",
-    "steady_state_dm",
-    "sweep",
-    "to_csv_text",
-    "trace_distance",
-    "vacuum_state",
-]

@@ -21,7 +21,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -83,20 +83,12 @@ def _jsonable(obj):
 
 
 def _system_dict(s) -> dict:
-    return {
-        "delta_p": s.delta_p,
-        "delta_b_offset": s.delta_b_offset,
-        "delta_q_offset": s.delta_q_offset,
-        "lambda": s.lam,
-        "g": s.g,
-        "epsilon_re": s.epsilon.real,
-        "epsilon_im": s.epsilon.imag,
-        "kappa_a": s.kappa_a,
-        "kappa_b": s.kappa_b,
-        "gamma": s.gamma,
-        "gamma_phi": s.gamma_phi,
-        "kappa_q": s.kappa_q,
-    }
+    out = {f.name: getattr(s, f.name) for f in fields(s)}
+    out["lambda"] = out.pop("lam")
+    eps = out.pop("epsilon")
+    out["epsilon_re"], out["epsilon_im"] = eps.real, eps.imag
+    out["kappa_q"] = s.kappa_q
+    return out
 
 
 def _amplitude_fields(state) -> dict:

@@ -364,6 +364,13 @@ def parse_config(text: str) -> RunConfig:
     if "validate" in blocks:
         validate = _build("validate", lambda: ValidateSettings(**blocks["validate"]))
 
+    if command == "validate":
+        for key, value in (("epsilon", system.epsilon), ("lambda", system.lam)):
+            if value == 0:
+                raise ConfigError(
+                    f"[system]: validate needs {key} != 0; its checks are "
+                    "relative to <a> and <b>, which vanish without drive or coupling"
+                )
     if command == "derive-coupling" and units != "SI":
         raise ConfigError(
             'derive-coupling requires [system] units = "SI" so rates can be '

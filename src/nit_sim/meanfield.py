@@ -87,12 +87,6 @@ def drift(sys: SystemParams) -> tuple[np.ndarray, np.ndarray]:
     return J, c
 
 
-def rhs(state: MeanFieldState, sys: SystemParams) -> np.ndarray:
-    """Time derivative of the amplitude triple at the given state."""
-    J, c = drift(sys)
-    return J @ state.vector + c
-
-
 def _check_tols(rel_tol, abs_tol) -> None:
     for name, v in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
         arr = np.asarray(v)

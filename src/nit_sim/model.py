@@ -64,10 +64,6 @@ class SystemParams:
         """Qubit coherence linewidth, 2*gamma_phi + gamma.  Never stored."""
         return 2.0 * self.gamma_phi + self.gamma
 
-    @property
-    def is_normalized(self) -> bool:
-        return self.kappa_a == 1.0
-
 
 def normalize(sys: SystemParams) -> SystemParams:
     """Rescale all rates by kappa_a so that kappa_a == 1 exactly.

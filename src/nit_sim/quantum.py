@@ -273,25 +273,11 @@ def _unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return v.reshape(dim, dim, order="F")
 
 
-def expectation(op, rho) -> complex:
-    """trace(op . rho) for sparse/dense operators and DensityMatrix/ndarray."""
-    import scipy.sparse as sp
-
+def expectation(op: sp.spmatrix, rho) -> complex:
+    """trace(op . rho) for a sparse operator and a DensityMatrix or ndarray."""
     if isinstance(rho, DensityMatrix):
         rho = rho.matrix
-    if sp.issparse(op):
-        return complex(op.multiply(rho.T).sum())
-    return complex(np.sum(np.asarray(op) * rho.T))
-
-
-def closure_defect(rho, spec: HilbertSpec) -> float:
-    """Relative violation |<b sigma_z> + <b>| / |<b>| of the one-phonon closure."""
-    ops = build_operators(spec)
-    b_ = expectation(ops.b, rho)
-    bsz = expectation(ops.b @ ops.sigma_z, rho)
-    if b_ == 0:
-        raise DomainError("closure defect undefined: <b> = 0")
-    return abs(bsz + b_) / abs(b_)
+    return complex(op.multiply(rho.T).sum())
 
 
 @dataclass(frozen=True, eq=False)

@@ -288,28 +288,6 @@ def analyze_windows(spectrum: Spectrum) -> WindowReport:
     return WindowReport(tuple(peaks), tuple(dips), asym)
 
 
-@dataclass(frozen=True)
-class CompareReport:
-    max_abs: float
-    mean_abs: float
-    max_rel: float
-
-
-def compare(s1: Spectrum, s2: Spectrum) -> CompareReport:
-    """Pointwise deviation of two spectra on the same grid."""
-    if not np.array_equal(s1.detunings, s2.detunings):
-        raise DomainError("spectra live on different detuning grids")
-    diff = np.abs(s1.a - s2.a)
-    mags = np.maximum(np.abs(s1.a), np.abs(s2.a))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rel = np.where(mags > 0, diff / mags, 0.0)
-    return CompareReport(
-        max_abs=float(diff.max()),
-        mean_abs=float(diff.mean()),
-        max_rel=float(rel.max()),
-    )
-
-
 def dephasing_scan(base: SystemParams, gamma_phi_values) -> np.ndarray:
     """Absorption at zero probe detuning for each dephasing rate.
 

@@ -209,6 +209,29 @@ class TestOtherCommands:
         heights = [float(r.split(",")[1]) for r in rows]
         assert heights[0] > heights[1] > heights[2]
 
+    def test_run_json_records_every_system_rate(self, tmp_path):
+        text = STEADY_CFG.replace(
+            "epsilon = 0.03",
+            "epsilon = 0.03+0.01j\ndelta_p = 0.25\n"
+            "delta_b_offset = 0.125\ndelta_q_offset = -0.0625",
+        )
+        code, out = run_cli(tmp_path, text, "steady")
+        assert code == 0
+        assert json.loads((out / "run.json").read_text())["system"] == {
+            "delta_p": 0.25,
+            "delta_b_offset": 0.125,
+            "delta_q_offset": -0.0625,
+            "lambda": 0.5,
+            "g": 0.5,
+            "epsilon_re": 0.03,
+            "epsilon_im": 0.01,
+            "kappa_a": 1.0,
+            "kappa_b": 1e-3,
+            "gamma": 1e-3,
+            "gamma_phi": 1e-3,
+            "kappa_q": 3e-3,
+        }
+
     def test_validate_passes_and_reports(self, tmp_path, capsys):
         code, out = run_cli(tmp_path, VALIDATE_CFG, "validate")
         assert code == 0
@@ -357,6 +380,23 @@ class TestColdStart:
 
 
 class TestEntryPoints:
+    def test_readme_entry_points_resolve(self):
+        """Each `module.name` of the README's "Key entry points" exists; a
+        bare `name` belongs to the module named last before it."""
+        readme = (PYPROJECT.parent / "README.md").read_text(encoding="utf-8")
+        paragraph = readme.split("Key entry points:", 1)[1].split("\n\n", 1)[0]
+        refs, module = [], None
+        for ref in re.findall(r"`([\w.]+)`", paragraph):
+            if "." in ref:
+                module, ref = ref.split(".")
+            refs.append((module, ref))
+        assert len(refs) >= 10
+        missing = [
+            f"{m}.{name}" for m, name in refs
+            if not hasattr(importlib.import_module(f"nit_sim.{m}"), name)
+        ]
+        assert missing == []
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "nit_sim", "--version"],

@@ -137,7 +137,7 @@ class TestParsing:
         cfg = parse_config(SWEEP_TEXT)
         assert cfg.command == "sweep"
         assert cfg.formats == ("csv", "json")
-        assert cfg.system.lam == 0.5 and cfg.system.is_normalized
+        assert cfg.system.lam == 0.5 and cfg.system.kappa_a == 1.0
         assert cfg.system.delta_p == 0.0  # defaulted
         assert cfg.sweep.n_points == 201
         assert cfg.sweep.backend == "analytic"
@@ -352,6 +352,26 @@ class TestDiagnostics:
         out = tmp_path / "out"
         assert main([command, "--config", str(path), "--out", str(out)]) == 2
         assert msg in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("epsilon = 0.03", "epsilon = 0", "epsilon"),
+            ("lambda = 0.5", "lambda = 0", "lambda"),
+        ],
+        ids=["no-drive", "no-coupling"],
+    )
+    def test_validate_needs_drive_and_coupling(self, tmp_path, capsys, old, new, key):
+        text = as_command("validate", "[validate]\nn_points = 5\nn_a = 3\nn_b = 3\n")
+        text = text.replace(old, new)
+        with pytest.raises(ConfigError, match=rf"^\[system\]: validate needs {key} != 0"):
+            parse_config(text)
+        path = tmp_path / "validate.ini"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["validate", "--config", str(path), "--out", str(out)]) == 2
+        assert f"[system]: validate needs {key}" in capsys.readouterr().err
         assert not out.exists()
 
 

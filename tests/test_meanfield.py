@@ -17,7 +17,6 @@ from nit_sim import (
     integrate,
     relax_many,
     relax_to_steady_state,
-    rhs,
     steady_state,
 )
 from nit_sim.meanfield import drift, slowest_decay_rate
@@ -29,36 +28,19 @@ def as_state(ss) -> MeanFieldState:
     return MeanFieldState(ss.a, ss.b, ss.sigma_minus, 0.0)
 
 
-class TestRhs:
+class TestDrift:
     def test_zero_state_feels_only_the_drive(self):
-        out = rhs(ZERO_STATE, matched_system())
+        J, c = drift(matched_system())
+        out = J @ ZERO_STATE.vector + c
         assert out[0] == -1j * 0.03
         assert out[1] == 0 and out[2] == 0
 
     @given(sys=damped_systems())
     def test_vanishes_at_the_closed_form_fixed_point(self, sys):
-        out = rhs(as_state(steady_state(sys)), sys)
+        J, c = drift(sys)
+        out = J @ as_state(steady_state(sys)).vector + c
         assert np.linalg.norm(out) <= 1e-12 * max(abs(sys.epsilon), 1e-30)
 
-    def test_affine_linearity_in_the_state(self):
-        sys = matched_system(delta_p=0.7)
-        s1 = MeanFieldState(0.1 + 0.2j, -0.05j, 0.01 - 0.03j, 0.0)
-        s2 = MeanFieldState(-0.3j, 0.02 + 0.04j, -0.02, 0.0)
-        both = MeanFieldState(s1.a + s2.a, s1.b + s2.b,
-                              s1.sigma_minus + s2.sigma_minus, 0.0)
-        f0 = rhs(ZERO_STATE, sys)
-        lhs = rhs(both, sys) - f0
-        rhs_sum = (rhs(s1, sys) - f0) + (rhs(s2, sys) - f0)
-        assert np.allclose(lhs, rhs_sum, rtol=0, atol=1e-15)
-
-    def test_matches_drift_matrix_action(self):
-        sys = matched_system(delta_p=-0.4)
-        J, c = drift(sys)
-        s = MeanFieldState(0.05 - 0.01j, 0.02j, -0.03, 0.0)
-        assert np.allclose(rhs(s, sys), J @ s.vector + c, rtol=0, atol=1e-17)
-
-
-class TestDrift:
     @given(sys=damped_systems())
     @settings(max_examples=50)
     def test_fully_damped_spectrum(self, sys):

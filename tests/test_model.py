@@ -73,10 +73,6 @@ class TestSystemParams:
         assert s.kappa_q == 1.25
         assert matched_system().kappa_q == 2e-3 + 1e-3
 
-    def test_is_normalized_flag(self):
-        assert matched_system().is_normalized
-        assert not matched_system(kappa_a=2.0).is_normalized
-
 
 class TestNormalize:
     def test_kappa_a_becomes_exactly_one(self):

@@ -20,7 +20,6 @@ from nit_sim import (
     build_hamiltonian,
     build_liouvillian,
     build_operators,
-    closure_defect,
     evolve,
     expectation,
     rwa_error_probe,
@@ -351,15 +350,6 @@ class TestSteadyState:
         assert (iterations > GMRES_RESTART) == restarted
         assert np.linalg.norm(a @ x - b) <= GMRES_RTOL * np.linalg.norm(b)
 
-    def test_closure_defect_small_off_center(self):
-        sys = weak_drive_system(delta_p=0.3)
-        rho = steady_state_dm(build_liouvillian(sys, SPEC44))
-        assert closure_defect(rho, SPEC44) < 0.05
-
-    def test_closure_defect_undefined_without_phonons(self):
-        with pytest.raises(DomainError, match="<b> = 0"):
-            closure_defect(vacuum_state(SPEC22), SPEC22)
-
 
 class TestEvolve:
     def test_long_horizon_meets_direct_solve(self):
@@ -437,10 +427,3 @@ class TestDensityMatrix:
         m[1, 1] = -0.5
         with pytest.raises(DomainError, match="eigenvalue"):
             DensityMatrix(m)
-
-    def test_expectation_accepts_dense_arguments(self):
-        spec = SPEC22
-        rho = vacuum_state(spec)
-        ops = build_operators(spec)
-        dense = expectation(ops.sigma_z.toarray(), rho.matrix)
-        assert dense == expectation(ops.sigma_z, rho)
