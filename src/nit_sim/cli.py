@@ -37,7 +37,7 @@ from .config import (
 )
 from .errors import ConfigError, DomainError, NumericalError
 from .meanfield import ZERO_STATE, integrate
-from .model import PhysicalParams, derive_g, derive_lambda, lamb_dicke
+from .model import PhysicalParams, derive_lambda, lamb_dicke
 from .quantum import HilbertSpec, build_operators
 from .spectra import (
     MIN_WINDOW_POINTS,
@@ -271,7 +271,7 @@ def _cmd_derive_coupling(
     ka = cfg.kappa_a_input  # rad/s; parse_config guarantees SI units here
     lam_si = derive_lambda(p)
     eta = lamb_dicke(p)
-    g_si = derive_g(p)
+    g_si = eta * p.Omega
     result = {
         "kappa_a_rad_s": ka,
         "lambda_rad_s": lam_si,

@@ -149,8 +149,6 @@ def _formats(raw: str) -> tuple[str, ...]:
                 f"unknown format {name!r}; choose from {', '.join(FORMATS)}"
             )
         picked.add(name)
-    if not picked:
-        raise ValueError("expected at least one format")
     return tuple(f for f in FORMATS if f in picked)
 
 

@@ -52,9 +52,8 @@ TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-8
 TRACE_DRIFT_MAX = 1e-9
 RESIDUAL_TOL = 1e-10
-GMRES_RTOL = 1e-13
-GMRES_RESTART = 50
-GMRES_CYCLES = 2  # restarts: at most 100 iterations before the LU fallback
+SOLVE_RTOL = 1e-13
+SOLVE_MAXITER = 50  # BiCGSTAB iterations (two preconditioner solves each)
 DIM2_CAP = 250_000  # superoperator dimension dim^2
 _PROBE_TOL = 1e-9  # rwa_error_probe: relative step tolerance
 _PROBE_SAMPLES = 81  # evenly spaced times at which it compares the states
@@ -361,13 +360,17 @@ def _residual(liou: Liouvillian, x: np.ndarray, shift: float = 0.0) -> float:
 def _solve_structured(
     liou: Liouvillian, shift: float
 ) -> tuple[np.ndarray | None, int, bool]:
-    """Vacuum-fixed GMRES for the fixed point of L + shift*D: (trace-normalized
-    vec(rho), iterations, converged), or (None, 0, False) when the
-    preconditioner is singular.
+    """Vacuum-fixed BiCGSTAB for the fixed point of L + shift*D:
+    (trace-normalized vec(rho), iterations, converged), or (None, 0, False)
+    when the preconditioner is singular.
 
     The LU of the probe-free part, taken in its natural (excitation) order,
-    preconditions GMRES on the driven system (see ``_build_pieces``).  The
-    shift only adds shift*D to the stored diagonals of copies.
+    preconditions BiCGSTAB on the driven system (see ``_build_pieces``).  The
+    shift only adds shift*D to the stored diagonals of copies.  scipy's gmres
+    would spin idle OpenBLAS threads on the other cores (its Krylov update is
+    a BLAS gemv); bicgstab uses only level-1 operations, so it does not.
+    (numpy's vdot and norm, which it calls, stay on one thread up to 10000
+    elements, truncation (7, 7).)
     """
     import scipy.sparse.linalg as spla
 
@@ -382,66 +385,19 @@ def _solve_structured(
         lu = spla.splu(pre, permc_spec="NATURAL")
     except RuntimeError:  # the undriven generator has no unique fixed point
         return None, 0, False
-    y, iterations, converged = _gmres(a, lu.solve, p.rhs)
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    y, status = spla.bicgstab(
+        a, p.rhs, rtol=SOLVE_RTOL, atol=0.0, maxiter=SOLVE_MAXITER,
+        M=spla.LinearOperator(a.shape, lu.solve, dtype=complex), callback=count,
+    )
     x = np.empty(liou.dim2, dtype=complex)
     x[p.order] = np.concatenate(([1.0], y))
-    return x / (liou.trace_vector() @ x), iterations, converged
-
-
-def _gmres(a, precond, b: np.ndarray) -> tuple[np.ndarray, int, bool]:
-    """Left-preconditioned restarted GMRES: (x, iterations, converged), where
-    converged means ||b - a x|| <= GMRES_RTOL ||b||.
-
-    Modified Gram-Schmidt Arnoldi with Givens rotations, as scipy's gmres,
-    but the Krylov update is an einsum: scipy's ``y @ V`` is a threaded BLAS
-    gemv whose OpenBLAS workers then spin on the other cores long after the
-    solve returns.  (numpy's vdot and norm stay on one thread up to 10000
-    elements, truncation (7, 7).)
-    """
-    x = np.zeros_like(b)
-    target = GMRES_RTOL * np.linalg.norm(b)
-    if target == 0.0:
-        return x, 0, True
-    ptol = GMRES_RTOL * np.linalg.norm(precond(b))
-    m = GMRES_RESTART
-    basis = np.empty((m + 1, b.size), dtype=complex)
-    h = np.zeros((m + 1, m), dtype=complex)
-    rot = np.zeros((m, 2), dtype=complex)  # (c, s) with real s
-    iterations = 0
-    for _ in range(GMRES_CYCLES):
-        z = precond(b - a @ x)
-        g = np.zeros(m + 1, dtype=complex)
-        g[0] = np.linalg.norm(z)
-        basis[0] = z / g[0]
-        for k in range(m):
-            w = precond(a @ basis[k])
-            for j in range(k + 1):
-                h[j, k] = np.vdot(basis[j], w)
-                w -= h[j, k] * basis[j]
-            h1 = np.linalg.norm(w)
-            basis[k + 1] = w / h1 if h1 > 0.0 else 0.0
-            for j, (c, s) in enumerate(rot[:k]):
-                h[j, k], h[j + 1, k] = (c.conjugate() * h[j, k] + s * h[j + 1, k],
-                                        c * h[j + 1, k] - s * h[j, k])
-            r = np.hypot(abs(h[k, k]), h1)
-            if r == 0.0:  # singular Hessenberg: leave it to the fallback
-                return x, iterations, False
-            rot[k] = h[k, k] / r, h1 / r
-            h[k, k] = r
-            g[k], g[k + 1] = rot[k, 0].conjugate() * g[k], -rot[k, 1] * g[k]
-            iterations += 1
-            if abs(g[k + 1]) <= ptol or h1 == 0.0:
-                break
-        n = k + 1
-        y = g[:n].copy()
-        for i in range(n - 1, -1, -1):  # back substitution in the rotated H
-            y[i] = (y[i] - h[i, i + 1:n] @ y[i + 1:]) / h[i, i]
-        x += np.einsum("k,kn->n", y, basis[:n])
-        residual = np.linalg.norm(b - a @ x)
-        if residual <= target:
-            return x, iterations, True
-        ptol = abs(g[n]) * min(0.25, target / residual)  # scipy's restart rule
-    return x, iterations, False
+    return x / (liou.trace_vector() @ x), iterations, status == 0
 
 
 def _solve_lu(matrix: sp.spmatrix, threshold: float) -> np.ndarray:
@@ -500,15 +456,15 @@ def steady_state_dm(
     functional picks only n1 == n2 entries, where D vanishes, so L + shift*D
     preserves the trace as L does.
 
-    Runs GMRES on the excitation-ordered system with the vacuum population
+    Runs BiCGSTAB on the excitation-ordered system with the vacuum population
     fixed, preconditioned by the LU of its probe-free part (see
-    ``_solve_structured``).  If that factor is singular, GMRES does not
+    ``_solve_structured``).  If that factor is singular, BiCGSTAB does not
     converge, or the residual ||(L + shift*D) vec(rho)||_2 exceeds 1e-10 *
     max|entries of L + shift*D|, it falls back to the LU of the
     trace-replaced generator, whose residual is held to the same bound.
     Rank deficiency beyond the trace direction raises
     DegenerateSteadyStateError, a missed residual SolverError.  ``info``, if
-    given, receives the route taken ("structured" or "lu"), the GMRES
+    given, receives the route taken ("structured" or "lu"), the BiCGSTAB
     iterations, the residual and its threshold.
     """
     p = liou.pieces
@@ -520,7 +476,7 @@ def steady_state_dm(
     if not (converged and residual <= threshold):
         if x is not None:
             log.warning(
-                "structured steady state missed: GMRES %s after %d iterations, "
+                "structured steady state missed: BiCGSTAB %s after %d iterations, "
                 "residual %.3e, threshold %.3e; falling back to LU",
                 "converged" if converged else "did not converge",
                 iterations, residual, threshold,

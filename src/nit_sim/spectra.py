@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytic import steady_state
-from .errors import ConfigError, DomainError, NumericalError, SingularityError
+from .errors import ConfigError, DomainError, NumericalError
 from .meanfield import relax_many
 from .model import SystemParams, normalize
 from .quantum import HilbertSpec, build_liouvillian, build_operators, expectation, steady_state_dm
@@ -98,12 +98,6 @@ def worker_count() -> int:
     return n
 
 
-def _wrap_point_error(exc: NumericalError, delta_p: float) -> NumericalError:
-    if isinstance(exc, SingularityError):
-        return exc  # already carries the detuning
-    return exc.__class__(f"at delta_p={delta_p!r}: {exc}")
-
-
 def quantum_expectations(systems, spec: HilbertSpec, operators) -> np.ndarray:
     """trace(op . rho) of each operator in the steady state of each point,
     as a (len(operators), len(systems)) array.
@@ -124,7 +118,7 @@ def quantum_expectations(systems, spec: HilbertSpec, operators) -> np.ndarray:
             rho = steady_state_dm(liou, shift=sys_i.delta_p)
             return [expectation(op, rho) for op in operators]
         except NumericalError as exc:
-            raise _wrap_point_error(exc, sys_i.delta_p) from exc
+            raise exc.__class__(f"at delta_p={sys_i.delta_p!r}: {exc}") from exc
 
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         rows = list(pool.map(solve_point, systems))

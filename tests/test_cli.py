@@ -9,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -252,6 +253,17 @@ class TestOtherCommands:
         )
         assert result["g_rad_s"] == pytest.approx(result["eta"] * 31415926.535897932)
 
+    def test_derive_coupling_warns_once_about_lamb_dicke(self, tmp_path):
+        marginal = DERIVE_CFG.replace("k_l = 29292239.194310427", "k_l = 1e8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run_cli(tmp_path, marginal, "derive-coupling")
+        assert code == 0
+        eta = json.loads((out / "couplings.json").read_text())["eta"]
+        assert eta > 0.1
+        lamb = [w for w in caught if "Lamb-Dicke" in str(w.message)]
+        assert len(lamb) == 1
+
 
 class TestFailureModes:
     def test_missing_config_file(self, tmp_path, capsys):
@@ -296,6 +308,25 @@ class TestFailureModes:
         code, _ = run_cli(tmp_path, undamped, "steady")
         assert code == 3
         assert "numerical error" in capsys.readouterr().err
+
+    def test_failed_validation_exit_code(self, tmp_path, capsys):
+        # eps = 0.3 overfills the (3, 3) truncation: quantum and closure fail
+        strong = VALIDATE_CFG.replace("epsilon = 0.01", "epsilon = 0.3") \
+                             .replace("n_a = 4\nn_b = 4", "n_a = 3\nn_b = 3")
+        code, out = run_cli(tmp_path, strong, "validate")
+        assert code == 3
+        assert "validation FAILED" in capsys.readouterr().err
+        assert json.loads((out / "validation.json").read_text())["passed"] is False
+        assert (out / "run.json").exists()
+
+    def test_validate_grid_must_increase(self, tmp_path, capsys):
+        reversed_grid = VALIDATE_CFG.replace(
+            "[validate]\n", "[validate]\ndelta_min = 1\ndelta_max = -1\n"
+        )
+        code, out = run_cli(tmp_path, reversed_grid, "validate")
+        assert code == 2
+        assert "delta_min < delta_max" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_svg_limited_to_sweeps(self, tmp_path, capsys):
         code, _ = run_cli(tmp_path, STEADY_CFG, "steady", "--format", "svg")

@@ -28,7 +28,7 @@ from nit_sim import (
     trace_distance,
     vacuum_state,
 )
-from nit_sim.quantum import GMRES_RESTART, GMRES_RTOL, _gmres, _solve_lu
+from nit_sim.quantum import _solve_lu
 from nit_sim.spectra import detuning_grid
 
 from conftest import decoupled_system, matched_system, weak_drive_system
@@ -335,20 +335,7 @@ class TestSteadyState:
         with caplog.at_level(logging.WARNING, logger="nit_sim.quantum"):
             with pytest.raises(DegenerateSteadyStateError):
                 steady_state_dm(build_liouvillian(lossy_mode_system(), SPEC22))
-        assert not caplog.records  # a singular preconditioner is no GMRES miss
-
-    @pytest.mark.parametrize("scale, restarted", [(0.1, False), (0.22, True)])
-    def test_gmres_solves_a_generic_complex_system(self, scale, restarted):
-        # the generator's Hessenberg matrices come out real; this one does not
-        rng = np.random.default_rng(0)
-        n = 80
-        noise = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        a = sp.csr_matrix(np.eye(n) * (3 + 2j) + scale * noise)
-        b = rng.normal(size=n) + 1j * rng.normal(size=n)
-        x, iterations, converged = _gmres(a, lambda v: v / a.diagonal(), b)
-        assert converged
-        assert (iterations > GMRES_RESTART) == restarted
-        assert np.linalg.norm(a @ x - b) <= GMRES_RTOL * np.linalg.norm(b)
+        assert not caplog.records  # a singular preconditioner is no BiCGSTAB miss
 
 
 class TestEvolve:
