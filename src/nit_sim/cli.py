@@ -21,7 +21,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,11 +38,12 @@ from .config import (
 from .errors import ConfigError, DomainError, NumericalError
 from .meanfield import ZERO_STATE, integrate
 from .model import PhysicalParams, derive_lambda, lamb_dicke
-from .quantum import HilbertSpec, build_operators
+from .quantum import build_operators
 from .spectra import (
     MIN_WINDOW_POINTS,
+    SweepConfig,
     analyze_windows,
-    detuning_grid,
+    csv_text,
     quantum_expectations,
     stationary_a,
     sweep as run_sweep,
@@ -77,8 +78,6 @@ def _jsonable(obj):
     if isinstance(obj, (np.floating, float)):
         f = float(obj)
         return f if math.isfinite(f) else None
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
     return obj
 
 
@@ -98,6 +97,11 @@ def _amplitude_fields(state) -> dict:
         z = getattr(state, name)
         out[f"{name}_re"], out[f"{name}_im"] = z.real, z.imag
     return out
+
+
+def _grid_fields(grid: SweepConfig) -> dict:
+    """The detuning grid of a [sweep] or [validate] block, as run.json reports it."""
+    return {k: getattr(grid, k) for k in ("delta_min", "delta_max", "n_points")}
 
 
 def _write_text(outdir: Path, name: str, text: str, files: list[str]) -> None:
@@ -129,17 +133,9 @@ def _cmd_steady(cfg: RunConfig, outdir: Path, files: list[str]) -> tuple[dict, b
 
 def _cmd_sweep(cfg: RunConfig, outdir: Path, files: list[str]) -> tuple[dict, bool]:
     spectrum = run_sweep(cfg.sweep)
-    payload: dict = {
-        "sweep": {
-            "backend": spectrum.backend,
-            "delta_min": cfg.sweep.delta_min,
-            "delta_max": cfg.sweep.delta_max,
-            "n_points": cfg.sweep.n_points,
-        }
-    }
+    payload: dict = {"sweep": {"backend": spectrum.backend, **_grid_fields(cfg.sweep)}}
     if cfg.sweep.quantum_spec is not None:
-        payload["sweep"]["n_a"] = cfg.sweep.quantum_spec.n_a
-        payload["sweep"]["n_b"] = cfg.sweep.quantum_spec.n_b
+        payload["sweep"].update(asdict(cfg.sweep.quantum_spec))
     print(
         f"sweep: {spectrum.n_points} points on "
         f"[{cfg.sweep.delta_min:g}, {cfg.sweep.delta_max:g}], "
@@ -177,14 +173,9 @@ def _cmd_evolve(cfg: RunConfig, outdir: Path, files: list[str]) -> tuple[dict, b
     )
     print(f"  final <a> = {final.a:.12g}")
     if "csv" in cfg.formats:
-        lines = ["t,re_a,im_a,re_b,im_b,re_sigma_minus,im_sigma_minus"]
-        for st in traj:
-            lines.append(
-                f"{st.t:.17g},{st.a.real:.17g},{st.a.imag:.17g},"
-                f"{st.b.real:.17g},{st.b.imag:.17g},"
-                f"{st.sigma_minus.real:.17g},{st.sigma_minus.imag:.17g}"
-            )
-        _write_text(outdir, "trajectory.csv", "\n".join(lines) + "\n", files)
+        rows = [(st.t, *_amplitude_fields(st).values()) for st in traj]
+        header = "t,re_a,im_a,re_b,im_b,re_sigma_minus,im_sigma_minus"
+        _write_text(outdir, "trajectory.csv", csv_text(header, rows), files)
     payload = {
         "evolve": {
             "t_end": ev.t_end,
@@ -199,12 +190,11 @@ def _cmd_evolve(cfg: RunConfig, outdir: Path, files: list[str]) -> tuple[dict, b
 
 def _cmd_validate(cfg: RunConfig, outdir: Path, files: list[str]) -> tuple[dict, bool]:
     v = cfg.validate
-    grid = detuning_grid(v.delta_min, v.delta_max, v.n_points)
-    systems = [replace(cfg.system, delta_p=float(d)) for d in grid]
+    spec = v.quantum_spec
+    _, systems = v.points()
 
     a_analytic = stationary_a(systems, "analytic")
     a_meanfield = stationary_a(systems, "meanfield")
-    spec = HilbertSpec(n_a=v.n_a, n_b=v.n_b)
     ops = build_operators(spec)
     a_quantum, b_quantum, bsz = quantum_expectations(
         systems, spec, [ops.a, ops.b, ops.b @ ops.sigma_z]
@@ -235,7 +225,7 @@ def _cmd_validate(cfg: RunConfig, outdir: Path, files: list[str]) -> tuple[dict,
     all_pass = True
     print(
         f"cross-backend validation: {v.n_points} detunings on "
-        f"[{v.delta_min:g}, {v.delta_max:g}], truncation ({v.n_a}, {v.n_b})"
+        f"[{v.delta_min:g}, {v.delta_max:g}], truncation ({spec.n_a}, {spec.n_b})"
     )
     for name, value, threshold in checks:
         ok = value < threshold
@@ -247,12 +237,8 @@ def _cmd_validate(cfg: RunConfig, outdir: Path, files: list[str]) -> tuple[dict,
               f"{'PASS' if ok else 'FAIL'}")
     payload = {
         "validate": {
-            "grid": {
-                "delta_min": v.delta_min,
-                "delta_max": v.delta_max,
-                "n_points": v.n_points,
-            },
-            "truncation": {"n_a": v.n_a, "n_b": v.n_b},
+            "grid": _grid_fields(v),
+            "truncation": asdict(spec),
             "checks": rows,
             "passed": all_pass,
         }
@@ -302,9 +288,8 @@ def _cmd_dephasing_scan(
     for gph, h in zip(values, heights):
         print(f"  gamma_phi = {gph:<12g} absorption = {h:.12g}")
     if "csv" in cfg.formats:
-        lines = ["gamma_phi,central_absorption"]
-        lines += [f"{g:.17g},{h:.17g}" for g, h in zip(values, heights)]
-        _write_text(outdir, "dephasing.csv", "\n".join(lines) + "\n", files)
+        text = csv_text("gamma_phi,central_absorption", zip(values, heights))
+        _write_text(outdir, "dephasing.csv", text, files)
     payload = {
         "dephasing": {
             "gamma_phi_values": list(values),

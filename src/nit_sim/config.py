@@ -1,7 +1,9 @@
 """Strict key-value config parsing for the command-line tool.
 
 The format is a flat INI-like text: `[block]` headers followed by
-`key = value` lines, `#`/`;` comments.  Parsing is deliberately strict.
+`key = value` lines, `#`/`;` comments.  A value may be quoted, but `#` and
+`;` start a comment even inside quotes, so a quote left open by one is an
+error.  Parsing is deliberately strict.
 Unknown blocks and keys are fatal (with an edit-distance hint), every
 diagnostic carries the offending key and line number, and values are
 range-checked at parse time.  A silent typo in a physics parameter is
@@ -46,24 +48,6 @@ class EvolveSettings:
 
 
 @dataclass(frozen=True)
-class ValidateSettings:
-    """Grid and truncation for the cross-backend validation suite."""
-
-    delta_min: float = -1.5
-    delta_max: float = 1.5
-    n_points: int = 11
-    n_a: int = 5
-    n_b: int = 5
-
-    def __post_init__(self):
-        if not self.delta_min < self.delta_max:
-            raise DomainError(
-                f"need delta_min < delta_max, got [{self.delta_min!r}, {self.delta_max!r}]"
-            )
-        HilbertSpec(self.n_a, self.n_b)  # raises past the truncation cap
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Fully resolved run description.
 
@@ -82,7 +66,7 @@ class RunConfig:
     sweep: SweepConfig | None = None
     evolve: EvolveSettings | None = None
     dephasing: tuple[float, ...] | None = None
-    validate: ValidateSettings | None = None
+    validate: SweepConfig | None = None
     # [system] is kept as parsed so SI configs render back in their own
     # units (rates rescaled twice would drift by an ulp)
     blocks: dict[str, dict[str, Any]] = field(default_factory=dict, compare=False)
@@ -213,11 +197,11 @@ _SCHEMA: dict[str, dict[str, _Field]] = {
         "gamma_phi_values": _Field(_float_list, required=True),
     },
     "validate": {
-        "delta_min": _Field(_num, default=ValidateSettings.delta_min),
-        "delta_max": _Field(_num, default=ValidateSettings.delta_max),
-        "n_points": _Field(_intval, default=ValidateSettings.n_points, check=_GE2),
-        "n_a": _Field(_intval, default=ValidateSettings.n_a, check=_GE2),
-        "n_b": _Field(_intval, default=ValidateSettings.n_b, check=_GE2),
+        "delta_min": _Field(_num, default=-1.5),
+        "delta_max": _Field(_num, default=1.5),
+        "n_points": _Field(_intval, default=11, check=_GE2),
+        "n_a": _Field(_intval, default=5, check=_GE2),
+        "n_b": _Field(_intval, default=5, check=_GE2),
     },
 }
 
@@ -263,7 +247,12 @@ def _tokenize(text: str) -> dict[str, dict[str, tuple[str, int]]]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if len(value) >= 2 and value[0] == value[-1] and value[0] in "\"'":
+        if value[:1] in ("'", '"'):
+            if len(value) < 2 or value[-1] != value[0]:
+                raise ConfigError(
+                    f"line {lineno}: unclosed quote in the value of {key!r} "
+                    "(# and ; start a comment even inside quotes)"
+                )
             value = value[1:-1].strip()
         schema = _SCHEMA[current]
         if key not in schema:
@@ -310,6 +299,16 @@ def _build(block: str, make: Callable[[], Any]) -> Any:
         raise ConfigError(f"[{block}]: {exc}") from None
 
 
+def _grid(block: str, system: SystemParams, backend: str, n_a: int, n_b: int, **grid):
+    """[sweep] or [validate] as a SweepConfig; only the quantum backend
+    reads the truncation n_a, n_b."""
+    spec = _build(block, lambda: HilbertSpec(n_a, n_b)) if backend == "quantum" else None
+    return _build(
+        block,
+        lambda: SweepConfig(base=system, backend=backend, quantum_spec=spec, **grid),
+    )
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse config text into a validated RunConfig.
 
@@ -347,12 +346,7 @@ def parse_config(text: str) -> RunConfig:
     if "physical" in blocks:
         physical = _build("physical", lambda: PhysicalParams(**blocks["physical"]))
     if "sweep" in blocks:
-        sv = dict(blocks["sweep"])
-        n_a, n_b = sv.pop("n_a"), sv.pop("n_b")
-        spec = None
-        if sv["backend"] == "quantum":
-            spec = _build("sweep", lambda: HilbertSpec(n_a, n_b))
-        sweep = _build("sweep", lambda: SweepConfig(base=system, quantum_spec=spec, **sv))
+        sweep = _grid("sweep", system, **blocks["sweep"])
     if "evolve" in blocks:
         evolve = EvolveSettings(**blocks["evolve"])
     if "dephasing" in blocks:
@@ -360,7 +354,7 @@ def parse_config(text: str) -> RunConfig:
         if any(v < 0 for v in dephasing):
             raise ConfigError("[dephasing]: gamma_phi_values must be >= 0")
     if "validate" in blocks:
-        validate = _build("validate", lambda: ValidateSettings(**blocks["validate"]))
+        validate = _grid("validate", system, backend="quantum", **blocks["validate"])
 
     if command == "validate":
         for key, value in (("epsilon", system.epsilon), ("lambda", system.lam)):

@@ -235,13 +235,15 @@ def build_liouvillian(sys: SystemParams, spec: HilbertSpec) -> Liouvillian:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Validated density matrix: hermitian, unit trace, positive to tolerance."""
+    """Validated density matrix: finite, hermitian, unit trace, positive to tolerance."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
+        if not np.isfinite(m).all():
+            raise DomainError("density matrix has non-finite entries")
         herm = float(np.max(np.abs(m - m.conj().T)))
         if herm > HERM_TOL:
             raise DomainError(f"not hermitian: max|rho - rho^dag| = {herm:.3e}")
@@ -361,8 +363,8 @@ def _solve_structured(
     liou: Liouvillian, shift: float
 ) -> tuple[np.ndarray | None, int, bool]:
     """Vacuum-fixed BiCGSTAB for the fixed point of L + shift*D:
-    (trace-normalized vec(rho), iterations, converged), or (None, 0, False)
-    when the preconditioner is singular.
+    (trace-normalized vec(rho), iterations begun, converged), or
+    (None, 0, False) when the preconditioner is singular.
 
     The LU of the probe-free part, taken in its natural (excitation) order,
     preconditions BiCGSTAB on the driven system (see ``_build_pieces``).  The
@@ -385,19 +387,21 @@ def _solve_structured(
         lu = spla.splu(pre, permc_spec="NATURAL")
     except RuntimeError:  # the undriven generator has no unique fixed point
         return None, 0, False
-    iterations = 0
+    solves = 0
 
-    def count(_):
-        nonlocal iterations
-        iterations += 1
+    def precondition(v):
+        nonlocal solves
+        solves += 1
+        return lu.solve(v)
 
     y, status = spla.bicgstab(
         a, p.rhs, rtol=SOLVE_RTOL, atol=0.0, maxiter=SOLVE_MAXITER,
-        M=spla.LinearOperator(a.shape, lu.solve, dtype=complex), callback=count,
+        M=spla.LinearOperator(a.shape, precondition, dtype=complex),
     )
     x = np.empty(liou.dim2, dtype=complex)
     x[p.order] = np.concatenate(([1.0], y))
-    return x / (liou.trace_vector() @ x), iterations, status == 0
+    # an iteration solves twice, but may converge after its first solve
+    return x / (liou.trace_vector() @ x), (solves + 1) // 2, status == 0
 
 
 def _solve_lu(matrix: sp.spmatrix, threshold: float) -> np.ndarray:
@@ -465,7 +469,8 @@ def steady_state_dm(
     Rank deficiency beyond the trace direction raises
     DegenerateSteadyStateError, a missed residual SolverError.  ``info``, if
     given, receives the route taken ("structured" or "lu"), the BiCGSTAB
-    iterations, the residual and its threshold.
+    iterations begun (half the preconditioner solves, rounded up), the
+    residual and its threshold.
     """
     p = liou.pieces
     biggest = max(p.off_max, float(np.abs(p.diag + shift * p.d).max()))

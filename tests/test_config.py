@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from nit_sim import ConfigError
+from nit_sim import ConfigError, HilbertSpec, SweepConfig
 from nit_sim.cli import main
 from nit_sim.config import (
     EvolveSettings,
     RunConfig,
-    ValidateSettings,
     parse_config,
     render_config,
 )
@@ -167,7 +166,9 @@ class TestParsing:
     def test_validate_defaults_materialize(self):
         text = SWEEP_TEXT.replace("command = sweep", "command = validate")
         cfg = parse_config(text)
-        assert cfg.validate == ValidateSettings()
+        assert cfg.validate == SweepConfig(
+            cfg.system, -1.5, 1.5, 11, backend="quantum", quantum_spec=HilbertSpec(5, 5)
+        )
 
     def test_evolve_block(self):
         text = """
@@ -315,6 +316,21 @@ class TestDiagnostics:
         assert main(["validate", "--config", str(path), "--out", str(out)]) == 2
         assert "[validate]" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_comment_marker_inside_quotes_leaves_the_quote_open(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        text = SWEEP_TEXT.replace(
+            "formats = csv,json", 'formats = csv,json\nout = "runs;2026"'
+        )
+        with pytest.raises(ConfigError, match=r"line 5: unclosed quote .*'out'"):
+            parse_config(text)
+        path = tmp_path / "sweep.ini"
+        path.write_text(text)
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", "--config", str(path)]) == 2
+        assert "unclosed quote" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.ini"]
 
     def test_truncation_is_ignored_off_the_quantum_backend(self):
         text = SWEEP_TEXT.replace("n_points = 201", "n_points = 201\nn_a = 300\nn_b = 300")

@@ -331,6 +331,28 @@ class TestSteadyState:
         )
         assert abs(a44 - a66) / abs(a66) < 1e-3
 
+    @pytest.mark.parametrize("shift", [-0.3, 0.0, 0.6, 1.2])
+    def test_iterations_count_every_iteration_begun(self, monkeypatch, shift):
+        # BiCGSTAB solves twice per iteration but may converge after the first
+        import scipy.sparse.linalg as spla
+
+        liou = build_liouvillian(weak_drive_system(), HilbertSpec(5, 5))
+        splu, solves = spla.splu, []
+
+        class CountedLU:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, v):
+                solves.append(1)
+                return self.lu.solve(v)
+
+        monkeypatch.setattr(spla, "splu", lambda *a, **k: CountedLU(splu(*a, **k)))
+        info: dict = {}
+        steady_state_dm(liou, info=info, shift=shift)
+        assert info["route"] == "structured"
+        assert info["iterations"] == (len(solves) + 1) // 2
+
     def test_undamped_sector_has_no_unique_fixed_point(self, caplog):
         with caplog.at_level(logging.WARNING, logger="nit_sim.quantum"):
             with pytest.raises(DegenerateSteadyStateError):
@@ -407,6 +429,15 @@ class TestDensityMatrix:
     def test_rejects_wrong_trace(self):
         with pytest.raises(DomainError, match="trace"):
             DensityMatrix(np.eye(8, dtype=complex))
+
+    @pytest.mark.parametrize(
+        "m",
+        [[[1.0, np.nan], [np.nan, 0.0]], np.full((2, 2), np.nan)],
+        ids=["nan-coherence", "all-nan"],
+    )
+    def test_rejects_non_finite_entries(self, m):
+        with pytest.raises(DomainError, match="non-finite"):
+            DensityMatrix(m)
 
     def test_rejects_negative_eigenvalues(self):
         m = np.zeros((8, 8), dtype=complex)
