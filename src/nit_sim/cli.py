@@ -71,13 +71,8 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):  # before int: bool is an int subclass
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        f = float(obj)
-        return f if math.isfinite(f) else None
+    if isinstance(obj, float):  # np.float64 included
+        return float(obj) if math.isfinite(obj) else None
     return obj
 
 

@@ -3,7 +3,8 @@
 The format is a flat INI-like text: `[block]` headers followed by
 `key = value` lines, `#`/`;` comments.  A value may be quoted, but `#` and
 `;` start a comment even inside quotes, so a quote left open by one is an
-error.  Parsing is deliberately strict.
+error, and so is a quote that closes a value it never opened.  Parsing is
+deliberately strict.
 Unknown blocks and keys are fatal (with an edit-distance hint), every
 diagnostic carries the offending key and line number, and values are
 range-checked at parse time.  A silent typo in a physics parameter is
@@ -254,6 +255,10 @@ def _tokenize(text: str) -> dict[str, dict[str, tuple[str, int]]]:
                     "(# and ; start a comment even inside quotes)"
                 )
             value = value[1:-1].strip()
+        elif value[-1:] in ("'", '"'):
+            raise ConfigError(
+                f"line {lineno}: the value of {key!r} closes a quote it never opens"
+            )
         schema = _SCHEMA[current]
         if key not in schema:
             raise ConfigError(

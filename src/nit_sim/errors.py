@@ -33,7 +33,14 @@ class SingularityError(NumericalError):
 
 
 class StiffnessError(NumericalError):
-    """Adaptive step size underflowed; the problem is too stiff at this tolerance."""
+    """Adaptive step size underflowed; the problem is too stiff at this tolerance.
+
+    ``point`` is the index of the first point of a batch that underflowed.
+    """
+
+    def __init__(self, message: str, point: int | None = None):
+        self.point = point
+        super().__init__(message)
 
 
 class ConvergenceError(NumericalError):

@@ -120,7 +120,8 @@ def _run_bank(
 
     A point stops once ||ds/dt||_2 falls to its ``resid_target`` (an (n,)
     array, or -inf for none) or once it lands on ``horizon``.  Returns
-    (y, t, met): met marks the points that reached their target.
+    (y, t, met): met marks the points that reached their target.  A step
+    underflow raises StiffnessError with ``point``, the first point it hit.
 
     Every update below is elementwise in the point index; nothing couples
     points, which both parallelizes the sweep and pins its determinism.
@@ -158,10 +159,12 @@ def _run_bank(
         active = ~met & (t < horizon)  # a landed point sits exactly on it
         if not active.any():
             break
-        if (active & (h < h_floor)).any():
+        stalled = np.flatnonzero(active & (h < h_floor))
+        if stalled.size:
             raise StiffnessError(
                 f"step size underflowed below {h_floor:.3e} "
-                f"(= {_UNDERFLOW_FRACTION:g} of the horizon {horizon:g})"
+                f"(= {_UNDERFLOW_FRACTION:g} of the horizon {horizon:g})",
+                point=int(stalled[0]),
             )
 
         h_step = np.where(active, np.minimum(h, horizon - t), 0.0)
@@ -291,7 +294,8 @@ def relax_many(
     point the integrator's error floor is rel_tol*|s|, and the residual can
     only be certified below tol*|eps| if that floor sits well under the
     target.  The derived values depend on each point alone, never on the
-    batch, so batching cannot change results.
+    batch, so batching cannot change results.  ConvergenceError and
+    StiffnessError name the delta_p of the first point that failed.
     """
     if not 0.0 < tol <= 1e-2:
         raise DomainError(f"tol must lie in (0, 1e-2], got {tol!r}")
@@ -304,15 +308,20 @@ def relax_many(
     rel_tol = min(1e-8, tol / 100.0)
     abs_tol = np.clip(resid_target / 100.0, 1e-300, 1e-2)
     _check_tols(rel_tol, abs_tol)  # a NaN eps makes abs_tol NaN
-    y, t, met = _run_bank(
-        rows,
-        c0,
-        np.zeros((3, n), dtype=complex),
-        horizon=max_time,
-        resid_target=resid_target,
-        rel_tol=rel_tol,
-        abs_tol=abs_tol,
-    )
+    try:
+        y, t, met = _run_bank(
+            rows,
+            c0,
+            np.zeros((3, n), dtype=complex),
+            horizon=max_time,
+            resid_target=resid_target,
+            rel_tol=rel_tol,
+            abs_tol=abs_tol,
+        )
+    except StiffnessError as exc:
+        raise StiffnessError(
+            f"at delta_p={systems[exc.point].delta_p!r}: {exc}"
+        ) from exc
     if not met.all():
         i = int(np.flatnonzero(~met)[0])
         rate = slowest_decay_rate(systems[i])

@@ -161,14 +161,23 @@ def build_hamiltonian(sys: SystemParams, spec: HilbertSpec) -> sp.csr_matrix:
 class Liouvillian:
     """Sparse generator acting on column-vectorized density matrices, with
     the shift-independent parts of its steady-state solve (``pieces``, see
-    ``_build_pieces``), built once here."""
+    ``_build_pieces``), built once here.
+
+    ``matrix`` is kept as a complex csr copy whose diagonal is stored in full,
+    explicit zeros included (with no qubit damping an n1 != n2 entry can
+    vanish), so that L + shift*D has the sparsity of L for every shift.
+    """
 
     matrix: sp.csr_matrix
     spec: HilbertSpec
     pieces: _Pieces = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "pieces", _build_pieces(self))
+        m = self.matrix.tocsr().astype(complex)
+        m.sum_duplicates()
+        m.setdiag(m.diagonal())
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "pieces", _build_pieces(m, self.spec))
 
     @property
     def dim(self) -> int:
@@ -284,27 +293,18 @@ def expectation(op: sp.spmatrix, rho) -> complex:
 @dataclass(frozen=True, eq=False)
 class _Pieces:
     """What the steady state of L + shift*D needs that no shift changes (see
-    ``_build_pieces``); unknowns are numbered in excitation order."""
+    ``_build_pieces``); unknowns are numbered in excitation order.  Each entry
+    of ``a`` and ``pre`` is the position in L.data of the value it takes."""
 
     order: np.ndarray  # vec(rho) index of the vacuum, then of each unknown
     a: sp.csr_matrix  # the generator on the unknowns
     pre: sp.csc_matrix  # its probe-free part
-    a_diag: np.ndarray  # where the diagonal of ``a`` sits in a.data
-    pre_diag: np.ndarray  # and that of ``pre`` in pre.data
     rhs: np.ndarray  # minus the vacuum column
     d: np.ndarray  # D's diagonal, -i(n1 - n2), in vec order
-    diag: np.ndarray  # the generator's diagonal in vec order
-    off_max: float  # its largest off-diagonal |entry|
+    diag: np.ndarray  # where L's diagonal sits in L.data, in vec order
 
 
-def _diagonal_slots(m) -> np.ndarray:
-    """Positions of the diagonal entries in the data of a canonical csr or
-    csc matrix whose diagonal is stored in full."""
-    outer = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-    return np.flatnonzero(m.indices == outer)
-
-
-def _build_pieces(liou: Liouvillian) -> _Pieces:
+def _build_pieces(matrix: sp.csr_matrix, spec: HilbertSpec) -> _Pieces:
     """Split the generator for the vacuum-fixed solve in excitation order.
 
     |i><j| carries the excitation pair (n1, n2), n = qubit + n_a + n_b.
@@ -313,76 +313,63 @@ def _build_pieces(liou: Liouvillian) -> _Pieces:
     triangular: LU in that natural order fills in only inside the diagonal
     blocks.  rho[0, 0] = 1 replaces the vacuum row (redundant by trace
     preservation) and unknown; the vacuum column becomes the source.
-
-    The diagonal is stored in full, explicit zeros included (with no qubit
-    damping an n1 != n2 entry can vanish), so a shift always has a slot.
+    ``matrix`` is canonical csr with its diagonal stored in full.
     """
     import scipy.sparse as sp
 
-    q, na, nb = np.indices((2, liou.spec.n_a, liou.spec.n_b)).reshape(3, -1)
+    q, na, nb = np.indices((2, spec.n_a, spec.n_b)).reshape(3, -1)
     n = q + na + nb
-    n1, n2 = np.tile(n, liou.dim), np.repeat(n, liou.dim)
+    n1, n2 = np.tile(n, spec.dim), np.repeat(n, spec.dim)
     order = np.lexsort((n1, n1 + n2))  # the vacuum alone has n1 + n2 = 0
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size) - 1
 
-    coo = liou.matrix.tocoo()
-    off = coo.row != coo.col
-    diag = liou.matrix.diagonal()
-    every = np.arange(liou.dim2, dtype=coo.row.dtype)
-    vrow = np.concatenate([coo.row[off], every])
-    vcol = np.concatenate([coo.col[off], every])
-    data = np.concatenate([coo.data[off], diag])
-    row, col = rank[vrow], rank[vcol]
+    coo = matrix.tocoo()  # keeps the order of matrix.data
+    at = np.arange(coo.nnz)
+    row, col = rank[coo.row], rank[coo.col]
     body = (row >= 0) & (col >= 0)
-    keep = body & ((n1 - n2)[vrow] == (n1 - n2)[vcol])
-    shape = (liou.dim2 - 1, liou.dim2 - 1)
-    a = sp.csr_matrix((data[body], (row[body], col[body])), shape=shape)
-    pre = sp.csc_matrix((data[keep], (row[keep], col[keep])), shape=shape)
+    keep = body & ((n1 - n2)[coo.row] == (n1 - n2)[coo.col])
+    shape = (order.size - 1, order.size - 1)
+    a = sp.csr_matrix((at[body], (row[body], col[body])), shape=shape)
+    pre = sp.csc_matrix((at[keep], (row[keep], col[keep])), shape=shape)
     rhs = np.zeros(shape[0], dtype=complex)
     source = (row >= 0) & (col < 0)
-    rhs[row[source]] = -data[source]
-    d = -1j * (n1 - n2)
-    return _Pieces(
-        order=order, a=a, pre=pre,
-        a_diag=_diagonal_slots(a), pre_diag=_diagonal_slots(pre),
-        rhs=rhs, d=d, diag=diag,
-        off_max=float(np.abs(coo.data[off]).max(initial=0.0)),
-    )
+    rhs[row[source]] = -coo.data[source]
+    diag = np.flatnonzero(coo.row == coo.col)
+    return _Pieces(order=order, a=a, pre=pre, rhs=rhs, d=-1j * (n1 - n2), diag=diag)
 
 
-def _residual(liou: Liouvillian, x: np.ndarray, shift: float = 0.0) -> float:
-    """||(L + shift*D) x||_2, with D applied as the diagonal it is."""
-    r = liou.matrix @ x
-    if shift:
-        r += shift * (liou.pieces.d * x)
-    return float(np.linalg.norm(r))
+def _shifted(liou: Liouvillian, shift: float) -> sp.csr_matrix:
+    """L + shift*D as one csr matrix with the sparsity of L."""
+    if not shift:
+        return liou.matrix
+    m = liou.matrix.copy()
+    m.data[liou.pieces.diag] += shift * liou.pieces.d
+    return m
 
 
 def _solve_structured(
-    liou: Liouvillian, shift: float
+    liou: Liouvillian, m: sp.csr_matrix
 ) -> tuple[np.ndarray | None, int, bool]:
-    """Vacuum-fixed BiCGSTAB for the fixed point of L + shift*D:
+    """Vacuum-fixed BiCGSTAB for the fixed point of ``m`` = L + shift*D:
     (trace-normalized vec(rho), iterations begun, converged), or
     (None, 0, False) when the preconditioner is singular.
 
     The LU of the probe-free part, taken in its natural (excitation) order,
-    preconditions BiCGSTAB on the driven system (see ``_build_pieces``).  The
-    shift only adds shift*D to the stored diagonals of copies.  scipy's gmres
-    would spin idle OpenBLAS threads on the other cores (its Krylov update is
-    a BLAS gemv); bicgstab uses only level-1 operations, so it does not.
-    (numpy's vdot and norm, which it calls, stay on one thread up to 10000
-    elements, truncation (7, 7).)
+    preconditions BiCGSTAB on the driven system (see ``_build_pieces``).  Both
+    are gathered from m.data.  scipy's gmres would spin idle OpenBLAS threads
+    on the other cores (its Krylov update is a BLAS gemv); bicgstab uses only
+    level-1 operations, so it does not.  (numpy's vdot and norm, which it
+    calls, stay on one thread up to 10000 elements, truncation (7, 7).)
     """
+    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
     p = liou.pieces
-    a, pre = p.a, p.pre
-    if shift:
-        k = shift * p.d[p.order[1:]]
-        a, pre = a.copy(), pre.copy()
-        a.data[p.a_diag] += k
-        pre.data[p.pre_diag] += k
+    a = sp.csr_matrix((m.data[p.a.data], p.a.indices, p.a.indptr), shape=p.a.shape)
+    pre = sp.csc_matrix(
+        (m.data[p.pre.data], p.pre.indices, p.pre.indptr), shape=p.pre.shape
+    )
     try:
         lu = spla.splu(pre, permc_spec="NATURAL")
     except RuntimeError:  # the undriven generator has no unique fixed point
@@ -472,12 +459,11 @@ def steady_state_dm(
     iterations begun (half the preconditioner solves, rounded up), the
     residual and its threshold.
     """
-    p = liou.pieces
-    biggest = max(p.off_max, float(np.abs(p.diag + shift * p.d).max()))
-    threshold = RESIDUAL_TOL * biggest
+    m = _shifted(liou, shift)
+    threshold = RESIDUAL_TOL * float(np.abs(m.data).max())
     route = "structured"
-    x, iterations, converged = _solve_structured(liou, shift)
-    residual = np.inf if x is None else _residual(liou, x, shift)
+    x, iterations, converged = _solve_structured(liou, m)
+    residual = np.inf if x is None else float(np.linalg.norm(m @ x))
     if not (converged and residual <= threshold):
         if x is not None:
             log.warning(
@@ -487,13 +473,8 @@ def steady_state_dm(
                 iterations, residual, threshold,
             )
         route = "lu"
-        shifted = liou.matrix
-        if shift:
-            import scipy.sparse as sp
-
-            shifted = (shifted + sp.diags(shift * p.d)).tocsr()
-        x = _solve_lu(shifted, threshold)
-        residual = _residual(liou, x, shift)
+        x = _solve_lu(m, threshold)
+        residual = float(np.linalg.norm(m @ x))
 
     log.debug(
         "steady_state_dm: %s route, %d iterations, residual %.3e of %.3e",

@@ -332,6 +332,17 @@ class TestDiagnostics:
         assert "unclosed quote" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["sweep.ini"]
 
+    def test_quote_closed_but_never_opened(self, tmp_path, monkeypatch, capsys):
+        text = SWEEP_TEXT.replace("formats = csv,json", 'formats = csv,json\nout = runs"')
+        with pytest.raises(ConfigError, match=r"line 5: .*'out' closes a quote"):
+            parse_config(text)
+        path = tmp_path / "sweep.ini"
+        path.write_text(text)
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", "--config", str(path)]) == 2
+        assert "never opens" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.ini"]
+
     def test_truncation_is_ignored_off_the_quantum_backend(self):
         text = SWEEP_TEXT.replace("n_points = 201", "n_points = 201\nn_a = 300\nn_b = 300")
         assert parse_config(text).sweep.quantum_spec is None

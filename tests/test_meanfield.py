@@ -150,6 +150,10 @@ class TestRelax:
         with pytest.raises(ConvergenceError, match="slowest decay rate"):
             relax_to_steady_state(matched_system(), max_time=1.0)
 
+    def test_step_underflow_names_its_detuning(self):
+        with pytest.raises(StiffnessError, match=r"at delta_p=1e\+16: step size"):
+            relax_many([matched_system(), matched_system(delta_p=1e16)])
+
     def test_undamped_amplitudes_are_rejected(self):
         with pytest.raises(DomainError, match="kappa_q"):
             relax_to_steady_state(matched_system(gamma=0.0, gamma_phi=0.0))

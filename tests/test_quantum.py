@@ -230,6 +230,18 @@ class TestSteadyState:
         occupation = expectation(ops.a.conj().T @ ops.a, rho).real
         assert occupation == pytest.approx(0.0036, rel=1e-6)
 
+    def test_generator_without_its_zero_diagonal_gives_the_same_state(self):
+        # Liouvillian stores the diagonal in full, so every shift has a slot
+        spec = HilbertSpec(3, 3)
+        built = build_liouvillian(weak_drive_system(gamma=0.0, gamma_phi=0.0), spec)
+        m = built.matrix.copy()
+        m.eliminate_zeros()
+        assert m.nnz < built.matrix.nnz
+        by_hand = Liouvillian(m, spec)
+        assert by_hand.matrix.nnz == built.matrix.nnz
+        want = steady_state_dm(built, shift=0.37).matrix
+        assert steady_state_dm(by_hand, shift=0.37).matrix.tobytes() == want.tobytes()
+
     def test_residual_certificate(self):
         liou = build_liouvillian(weak_drive_system(), SPEC44)
         info: dict = {}
@@ -262,6 +274,7 @@ class TestSteadyState:
             a_sweep = expectation(a_op, steady_state_dm(l0, info=shifted, shift=float(d)))
             assert shifted["route"] == "structured"
             assert shifted["residual"] <= shifted["threshold"]
+            assert shifted["threshold"] == pytest.approx(info["threshold"], rel=1e-14)
             x = _solve_lu(liou.matrix, info["threshold"])
             a_ref = expectation(a_op, x.reshape(spec.dim, spec.dim, order="F"))
             worst = max(worst, abs(a_fast - a_ref) / abs(a_ref))
