@@ -116,11 +116,9 @@ def _enum(options: tuple[str, ...]) -> Callable[[str], str]:
     def parse(raw: str) -> str:
         if raw in options:
             return raw
-        msg = f"must be one of {', '.join(options)}, got {raw!r}"
-        hint = difflib.get_close_matches(raw, options, n=1, cutoff=0.6)
-        if hint:
-            msg += f" (did you mean {hint[0]!r}?)"
-        raise ValueError(msg)
+        raise ValueError(
+            f"must be one of {', '.join(options)}, got {raw!r}" + _suggest(raw, options)
+        )
 
     return parse
 

@@ -391,11 +391,11 @@ def _solve_structured(
     return x / (liou.trace_vector() @ x), (solves + 1) // 2, status == 0
 
 
-def _solve_lu(matrix: sp.spmatrix, threshold: float) -> np.ndarray:
+def _solve_lu(matrix: sp.spmatrix) -> np.ndarray:
     """Reference route: LU of the generator ``matrix`` with row 0 (a
     diagonal-element row, hence redundant by trace preservation) swapped for
-    the trace functional, plus iterative refinement.  Returns vec(rho) once
-    its residual ||matrix vec(rho)||_2 meets ``threshold``."""
+    the trace functional, plus iterative refinement.  Returns vec(rho); the
+    caller checks its residual."""
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
@@ -425,12 +425,6 @@ def _solve_lu(matrix: sp.spmatrix, threshold: float) -> np.ndarray:
         if np.linalg.norm(r) <= 1e-14 * np.linalg.norm(x):
             break
         x = x + lu.solve(r)
-
-    residual = float(np.linalg.norm(matrix @ x))
-    if not residual <= threshold:  # also catches a non-finite solution
-        raise SolverError(
-            f"steady-state residual {residual:.3e} exceeds {threshold:.3e}"
-        )
     return x
 
 
@@ -473,8 +467,12 @@ def steady_state_dm(
                 iterations, residual, threshold,
             )
         route = "lu"
-        x = _solve_lu(m, threshold)
+        x = _solve_lu(m)
         residual = float(np.linalg.norm(m @ x))
+        if not residual <= threshold:  # also catches a non-finite solution
+            raise SolverError(
+                f"steady-state residual {residual:.3e} exceeds {threshold:.3e}"
+            )
 
     log.debug(
         "steady_state_dm: %s route, %d iterations, residual %.3e of %.3e",

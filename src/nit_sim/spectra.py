@@ -56,6 +56,9 @@ class SweepConfig:
             raise DomainError(
                 f"unknown backend {self.backend!r}; choose from {BACKENDS}"
             )
+        # the truncation a quantum sweep solves at, and None for the others
+        spec = (self.quantum_spec or HilbertSpec()) if self.backend == "quantum" else None
+        object.__setattr__(self, "quantum_spec", spec)
 
     def points(self) -> tuple[np.ndarray, list[SystemParams]]:
         """The detuning grid and the normalized system at each of its points."""
@@ -133,13 +136,12 @@ def quantum_expectations(systems, spec: HilbertSpec, operators) -> np.ndarray:
 
 def stationary_a(systems, backend: str, spec: HilbertSpec | None = None) -> np.ndarray:
     """Stationary <a> at each point by one backend; ``spec`` is the quantum
-    truncation (default HilbertSpec())."""
+    truncation, which only the quantum backend reads and requires."""
     if backend == "analytic":
         return np.array([steady_state(s).a for s in systems], dtype=complex)
     if backend == "meanfield":
         # relax_many reports the offending detuning itself on failure
         return relax_many(systems)[0]
-    spec = spec or HilbertSpec()
     return quantum_expectations(systems, spec, [build_operators(spec).a])[0]
 
 
@@ -159,7 +161,7 @@ def sweep(cfg: SweepConfig) -> Spectrum:
         absorption=-a_vals.imag,
         backend=cfg.backend,
         params=normalize(cfg.base),
-        quantum_spec=cfg.quantum_spec if cfg.backend == "quantum" else None,
+        quantum_spec=cfg.quantum_spec,
     )
     for arr in (out.detunings, out.a_re, out.a_im, out.absorption):
         arr.flags.writeable = False

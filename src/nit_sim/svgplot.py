@@ -16,6 +16,9 @@ _W, _H = 720, 480
 _ML, _MR, _MT, _MB = 72, 24, 24, 56
 _SOLID = "#1f77b4"
 _DASHED = "#d62728"
+_DASH = ' stroke-dasharray="6,4"'
+_MIDDLE = ' text-anchor="middle"'
+_END = ' text-anchor="end"'
 
 
 def _nice_step(span: float, target: int = 6) -> float:
@@ -31,7 +34,7 @@ def _ticks(lo: float, hi: float) -> list[float]:
     step = _nice_step(hi - lo)
     i0 = math.ceil(lo / step - 1e-9)
     i1 = math.floor(hi / step + 1e-9)
-    return [i * step for i in range(i0, i1 + 1)]
+    return [i * step for i in range(i0, i1 + 1) if lo <= i * step <= hi]
 
 
 def _fmt(x: float) -> str:
@@ -40,6 +43,21 @@ def _fmt(x: float) -> str:
 
 def _label(v: float) -> str:
     return f"{v:.6g}"
+
+
+def _line(x1, y1, x2, y2, stroke="black", width=1, dash="") -> str:
+    return (
+        f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+        f'stroke="{stroke}" stroke-width="{width}"{dash}/>'
+    )
+
+
+def _text(x, y, size, body, attrs="") -> str:
+    """One label; ``attrs`` (each with its leading space) follow font-size."""
+    return (
+        f'<text x="{x}" y="{y}" font-family="sans-serif" font-size="{size}"'
+        f"{attrs}>{body}</text>"
+    )
 
 
 def emit_svg(spectrum: Spectrum) -> str:
@@ -51,27 +69,17 @@ def emit_svg(spectrum: Spectrum) -> str:
     if yhi == ylo:
         yhi = ylo + 1.0
     pad = 0.05 * (yhi - ylo)
-    ylo -= pad
-    yhi += pad
+    ylo, yhi = ylo - pad, yhi + pad
 
     px_w = _W - _ML - _MR
     px_h = _H - _MT - _MB
+    bottom = _H - _MB
 
     def sx(x: float) -> float:
         return _ML + (x - xlo) / (xhi - xlo) * px_w
 
     def sy(y: float) -> float:
-        return _H - _MB - (y - ylo) / (yhi - ylo) * px_h
-
-    def polyline(values, color: str, dashed: bool) -> str:
-        pts = " ".join(
-            f"{_fmt(sx(xx))},{_fmt(sy(yy))}" for xx, yy in zip(d, values)
-        )
-        dash = ' stroke-dasharray="6,4"' if dashed else ""
-        return (
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5"'
-            f'{dash} points="{pts}"/>'
-        )
+        return bottom - (y - ylo) / (yhi - ylo) * px_h
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -81,66 +89,37 @@ def emit_svg(spectrum: Spectrum) -> str:
         f'<rect x="{_ML}" y="{_MT}" width="{px_w}" height="{px_h}" '
         'fill="none" stroke="black" stroke-width="1"/>',
     ]
+    for t in _ticks(xlo, xhi):
+        x = _fmt(sx(t))
+        parts += [_line(x, bottom, x, bottom + 5),
+                  _text(x, bottom + 18, 11, _label(t), _MIDDLE)]
+    for t in _ticks(ylo, yhi):
+        y = sy(t)
+        parts += [_line(_ML - 5, _fmt(y), _ML, _fmt(y)),
+                  _text(_ML - 8, _fmt(y + 4), 11, _label(t), _END)]
 
-    for tx in _ticks(xlo, xhi):
-        if not xlo <= tx <= xhi:
-            continue
-        x = sx(tx)
-        parts.append(
-            f'<line x1="{_fmt(x)}" y1="{_H - _MB}" x2="{_fmt(x)}" '
-            f'y2="{_H - _MB + 5}" stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x)}" y="{_H - _MB + 18}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="middle">{_label(tx)}</text>'
-        )
-    for ty in _ticks(ylo, yhi):
-        if not ylo <= ty <= yhi:
-            continue
-        y = sy(ty)
-        parts.append(
-            f'<line x1="{_ML - 5}" y1="{_fmt(y)}" x2="{_ML}" y2="{_fmt(y)}" '
-            'stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_ML - 8}" y="{_fmt(y + 4)}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="end">{_label(ty)}</text>'
-        )
+    # each trace draws its polyline now and its legend entry after the axis labels
+    traces = (
+        (spectrum.a_re, _SOLID, "", "dispersion Re⟨a⟩"),
+        (spectrum.absorption, _DASHED, _DASH, "absorption −Im⟨a⟩"),
+    )
+    legend = []
+    for i, (values, color, dash, name) in enumerate(traces):
+        pts = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in zip(d, values))
+        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5"'
+                     f'{dash} points="{pts}"/>')
+        lx, ly = _ML + 12, _MT + 16 + 18 * i
+        legend += [_line(lx, ly, lx + 28, ly, color, 1.5, dash),
+                   _text(lx + 34, ly + 4, 12, name)]
 
-    parts.append(polyline(spectrum.a_re, _SOLID, dashed=False))
-    parts.append(polyline(spectrum.absorption, _DASHED, dashed=True))
-
-    parts.append(
-        f'<text x="{_ML + px_w // 2}" y="{_H - 12}" font-family="sans-serif" '
-        'font-size="13" text-anchor="middle">Δp/κa</text>'
-    )
-    parts.append(
-        f'<text x="18" y="{_MT + px_h // 2}" font-family="sans-serif" '
-        f'font-size="13" text-anchor="middle" '
-        f'transform="rotate(-90 18 {_MT + px_h // 2})">amplitude</text>'
-    )
-
-    lx, ly = _ML + 12, _MT + 16
-    parts.append(
-        f'<line x1="{lx}" y1="{ly}" x2="{lx + 28}" y2="{ly}" '
-        f'stroke="{_SOLID}" stroke-width="1.5"/>'
-    )
-    parts.append(
-        f'<text x="{lx + 34}" y="{ly + 4}" font-family="sans-serif" '
-        'font-size="12">dispersion Re⟨a⟩</text>'
-    )
-    parts.append(
-        f'<line x1="{lx}" y1="{ly + 18}" x2="{lx + 28}" y2="{ly + 18}" '
-        f'stroke="{_DASHED}" stroke-width="1.5" stroke-dasharray="6,4"/>'
-    )
-    parts.append(
-        f'<text x="{lx + 34}" y="{ly + 22}" font-family="sans-serif" '
-        'font-size="12">absorption −Im⟨a⟩</text>'
-    )
-    parts.append(
-        f'<text x="{_W - _MR}" y="{_MT - 8}" font-family="sans-serif" '
-        f'font-size="11" text-anchor="end">{spectrum.backend} backend, '
-        f'{spectrum.n_points} points</text>'
-    )
-    parts.append("</svg>")
+    mid = _MT + px_h // 2
+    rotate = f' transform="rotate(-90 18 {mid})"'
+    title = f"{spectrum.backend} backend, {spectrum.n_points} points"
+    parts += [
+        _text(_ML + px_w // 2, _H - 12, 13, "Δp/κa", _MIDDLE),
+        _text(18, mid, 13, "amplitude", _MIDDLE + rotate),
+        *legend,
+        _text(_W - _MR, _MT - 8, 11, title, _END),
+        "</svg>",
+    ]
     return "\n".join(parts) + "\n"

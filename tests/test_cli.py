@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import json
 import os
@@ -179,6 +180,22 @@ class TestSweepCommand:
         )
         assert n_peaks == 3
         assert svg.count("<polyline") == 2
+
+    @pytest.mark.parametrize(
+        "text, extra, digest",
+        [
+            (SWEEP_CFG, (),
+             "0e321efd818b7bc5136889ec2124ea37394e3ab998f37425fbb579123b807507"),
+            # a flat spectrum: emit_svg widens its y range to one unit
+            (SWEEP_CFG.replace("epsilon = 0.03", "epsilon = 0"), ("--format", "svg"),
+             "7e5077cc79f00c64d19e3a734f88a1a454b87c94e821c77fec29202e80f8906a"),
+        ],
+        ids=["matched", "flat"],
+    )
+    def test_svg_bytes_are_frozen(self, tmp_path, text, extra, digest):
+        code, out = run_cli(tmp_path, text, "sweep", *extra)
+        assert code == 0
+        assert hashlib.sha256((out / "spectrum.svg").read_bytes()).hexdigest() == digest
 
     def test_quantum_sweep_records_its_truncation(self, tmp_path, capsys):
         text = QUANTUM_SWEEP_CFG.replace("n_points = 3", "n_points = 5")

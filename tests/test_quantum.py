@@ -16,6 +16,7 @@ from nit_sim import (
     DomainError,
     HilbertSpec,
     Liouvillian,
+    SolverError,
     SystemParams,
     build_hamiltonian,
     build_liouvillian,
@@ -28,6 +29,7 @@ from nit_sim import (
     trace_distance,
     vacuum_state,
 )
+from nit_sim import quantum
 from nit_sim.quantum import _solve_lu
 from nit_sim.spectra import detuning_grid
 
@@ -275,7 +277,8 @@ class TestSteadyState:
             assert shifted["route"] == "structured"
             assert shifted["residual"] <= shifted["threshold"]
             assert shifted["threshold"] == pytest.approx(info["threshold"], rel=1e-14)
-            x = _solve_lu(liou.matrix, info["threshold"])
+            x = _solve_lu(liou.matrix)
+            assert np.linalg.norm(liou.matrix @ x) <= info["threshold"]
             a_ref = expectation(a_op, x.reshape(spec.dim, spec.dim, order="F"))
             worst = max(worst, abs(a_fast - a_ref) / abs(a_ref))
             worst_sweep = max(worst_sweep, abs(a_sweep - a_ref) / abs(a_ref))
@@ -310,6 +313,15 @@ class TestSteadyState:
         assert info["threshold"] == pytest.approx(1e-10 * np.abs(ls.data).max(), rel=1e-14)
         assert np.linalg.norm(ls @ rho.matrix.ravel(order="F")) <= info["threshold"]
         assert info["residual"] <= info["threshold"]
+
+    def test_lu_residual_over_threshold_raises(self, monkeypatch, caplog):
+        # a threshold no solve can meet sends the point to LU, which misses it too
+        monkeypatch.setattr(quantum, "RESIDUAL_TOL", 1e-30)
+        liou = build_liouvillian(matched_system(), HilbertSpec(3, 3))
+        with caplog.at_level(logging.WARNING, logger="nit_sim.quantum"):
+            with pytest.raises(SolverError, match=r"steady-state residual .* exceeds"):
+                steady_state_dm(liou)
+        assert "falling back to LU" in caplog.text
 
     @pytest.mark.parametrize("delta_p", [0.0, 0.3])
     def test_matches_closed_form_at_weak_drive(self, delta_p):

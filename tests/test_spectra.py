@@ -101,6 +101,23 @@ class TestSweep:
         assert s_q.backend == "quantum"
         assert s_q.quantum_spec == HilbertSpec(4, 4)
 
+    def test_quantum_sweep_reports_its_default_truncation(self):
+        cfg = SweepConfig(weak_drive_system(), -0.6, 0.6, 3, backend="quantum")
+        assert cfg.quantum_spec == HilbertSpec(5, 5)
+        s = sweep(cfg)
+        assert s.quantum_spec == HilbertSpec(5, 5)
+        explicit = replace(cfg, quantum_spec=HilbertSpec(5, 5))
+        assert s.a.tobytes() == sweep(explicit).a.tobytes()
+
+    @pytest.mark.parametrize("backend", ["analytic", "meanfield"])
+    def test_other_backends_carry_no_truncation(self, backend):
+        cfg = SweepConfig(
+            weak_drive_system(), -0.6, 0.6, 3, backend=backend,
+            quantum_spec=HilbertSpec(4, 4),
+        )
+        assert cfg.quantum_spec is None
+        assert sweep(cfg).quantum_spec is None
+
     def test_normalizes_the_base_parameters(self):
         scaled = matched_system(
             kappa_a=2.0, lam=1.0, g=1.0, epsilon=0.06,
