@@ -32,7 +32,6 @@ from .meanfield import (
 from .model import (
     PhysicalParams,
     SystemParams,
-    derive_g,
     derive_lambda,
     lamb_dicke,
     normalize,

@@ -184,8 +184,8 @@ _SCHEMA: dict[str, dict[str, _Field]] = {
         "delta_max": _Field(_num, required=True),
         "n_points": _Field(_intval, required=True, check=_GE2),
         "backend": _Field(_enum(BACKENDS), default="analytic"),
-        "n_a": _Field(_intval, default=5, check=_GE2),
-        "n_b": _Field(_intval, default=5, check=_GE2),
+        "n_a": _Field(_intval, default=HilbertSpec.n_a, check=_GE2),
+        "n_b": _Field(_intval, default=HilbertSpec.n_b, check=_GE2),
     },
     "evolve": {
         "t_end": _Field(_num, required=True, check=_POS),
@@ -199,8 +199,8 @@ _SCHEMA: dict[str, dict[str, _Field]] = {
         "delta_min": _Field(_num, default=-1.5),
         "delta_max": _Field(_num, default=1.5),
         "n_points": _Field(_intval, default=11, check=_GE2),
-        "n_a": _Field(_intval, default=5, check=_GE2),
-        "n_b": _Field(_intval, default=5, check=_GE2),
+        "n_a": _Field(_intval, default=HilbertSpec.n_a, check=_GE2),
+        "n_b": _Field(_intval, default=HilbertSpec.n_b, check=_GE2),
     },
 }
 

@@ -140,8 +140,3 @@ def lamb_dicke(p: PhysicalParams) -> float:
             stacklevel=2,
         )
     return eta
-
-
-def derive_g(p: PhysicalParams) -> float:
-    """Sideband coupling g = eta * Omega, rad/s."""
-    return lamb_dicke(p) * p.Omega

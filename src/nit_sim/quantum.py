@@ -399,16 +399,11 @@ def _solve_lu(matrix: sp.spmatrix) -> np.ndarray:
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    coo = matrix.tocoo()
-    keep = coo.row != 0
-    dim = math.isqrt(coo.shape[0])
-    rows = np.concatenate([coo.row[keep], np.zeros(dim, dtype=coo.row.dtype)])
-    cols = np.concatenate(
-        [coo.col[keep], (np.arange(dim) * (dim + 1)).astype(coo.col.dtype)]
-    )
-    data = np.concatenate([coo.data[keep], np.ones(dim, dtype=coo.data.dtype)])
-    m = sp.coo_matrix((data, (rows, cols)), shape=coo.shape).tocsc()
-    rhs_ = np.zeros(coo.shape[0], dtype=complex)
+    n = matrix.shape[0]
+    trace = np.zeros(n)
+    trace[:: math.isqrt(n) + 1] = 1.0
+    m = sp.vstack([sp.csr_matrix(trace), matrix[1:]], format="csc")
+    rhs_ = np.zeros(n, dtype=complex)
     rhs_[0] = 1.0
 
     try:

@@ -232,10 +232,11 @@ def _half_crossing(d, a, i_peak, half, step):
 def analyze_windows(spectrum: Spectrum) -> WindowReport:
     """Locate peaks and dips of the absorption and their widths.
 
-    Extrema come from first-difference sign changes refined by three-point
-    parabolas; widths are half-height crossings found by linear
-    interpolation.  The asymmetry figure is max |A(d) - A(-d)| over the
-    mirror-paired points, normalized by the global maximum.
+    Extrema sit where the first difference changes sign, zeros skipped (a
+    run of equal samples counts once), refined by three-point parabolas;
+    widths are half-height crossings found by linear interpolation.  The
+    asymmetry figure is max |A(d) - A(-d)| over the mirror-paired points,
+    normalized by the global maximum.
     """
     if spectrum.n_points < MIN_WINDOW_POINTS:
         raise DomainError(
@@ -243,17 +244,14 @@ def analyze_windows(spectrum: Spectrum) -> WindowReport:
             f"got {spectrum.n_points}"
         )
     d, a = spectrum.detunings, spectrum.absorption
-    n = len(a)
-    sign = np.sign(np.diff(a))
+    slope = np.sign(np.diff(a))
+    moving = np.flatnonzero(slope)
+    # the last nonzero slope before each change of sign; an extremum that
+    # spans a run of equal samples sits at the run's first sample
+    turn = moving[np.flatnonzero(np.diff(slope[moving]))]
+    peak_idx, dip_idx = turn[slope[turn] > 0] + 1, turn[slope[turn] < 0] + 1
 
-    peak_idx, dip_idx = [], []
-    for i in range(1, n - 1):
-        if sign[i - 1] > 0 and sign[i] < 0:
-            peak_idx.append(i)
-        elif sign[i - 1] < 0 and sign[i] > 0:
-            dip_idx.append(i)
-
-    if not peak_idx:
+    if not peak_idx.size:
         warnings.warn("degenerate spectrum: no interior maxima", stacklevel=2)
 
     peaks = []
@@ -262,18 +260,15 @@ def analyze_windows(spectrum: Spectrum) -> WindowReport:
         half = 0.5 * h
         left = _half_crossing(d, a, i, half, -1)
         right = _half_crossing(d, a, i, half, +1)
-        peaks.append(Peak(x, h, right - left if not (math.isnan(left) or math.isnan(right)) else math.nan))
+        peaks.append(Peak(x, h, right - left))
 
-    global_max = float(a.max()) if n else math.nan
+    global_max = float(a.max())
+    heights = [p.height for p in peaks]
     dips = []
-    for i in dip_idx:
+    for i, k in zip(dip_idx, np.searchsorted(peak_idx, dip_idx)):
         x, v = _refine(d, a, i)
-        left_peaks = [p.height for p, j in zip(peaks, peak_idx) if j < i]
-        right_peaks = [p.height for p, j in zip(peaks, peak_idx) if j > i]
-        neighbors = ([left_peaks[-1]] if left_peaks else []) + (
-            [right_peaks[0]] if right_peaks else []
-        )
-        ref = min(neighbors) if neighbors else global_max
+        # the nearer peak on each side of the dip, if there is one
+        ref = min(heights[max(k - 1, 0) : k + 1], default=global_max)
         dips.append(Dip(x, 1.0 - v / ref if ref else math.nan))
 
     span = d[-1] - d[0]

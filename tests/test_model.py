@@ -14,7 +14,6 @@ from nit_sim import (
     DomainError,
     PhysicalParams,
     SystemParams,
-    derive_g,
     derive_lambda,
     lamb_dicke,
     normalize,
@@ -178,23 +177,6 @@ class TestLambDicke:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             lamb_dicke(device_params())
-
-
-class TestDeriveG:
-    def test_reference_sideband_rate(self):
-        # eta pinned to 0.1 through the wavenumber; g = eta * Omega then
-        # lands at 2*pi * 500 kHz for a 5 MHz bare Rabi frequency
-        p = device_params()
-        k_for_tenth = 0.1 / math.sqrt(p.hbar / (2.0 * p.m * p.nu))
-        with pytest.warns(UserWarning):
-            g = derive_g(device_params(k_l=k_for_tenth))
-        assert g == pytest.approx(TWO_PI * 500e3, rel=1e-12)
-
-    def test_linear_in_rabi_frequency(self):
-        p = device_params()
-        assert derive_g(device_params(Omega=2 * p.Omega)) == pytest.approx(
-            2.0 * derive_g(p), rel=1e-12
-        )
 
 
 class TestPhysicalParams:

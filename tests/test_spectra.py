@@ -279,6 +279,30 @@ class TestWindows:
         for d_c, d_f in zip(coarse.dips, fine.dips):
             assert abs(d_c.detuning - d_f.detuning) < step
 
+    def test_even_grid_keeps_the_central_window(self):
+        # an even symmetric grid puts the central peak between two samples
+        # of equal absorption; that run of equal samples is one extremum.
+        # The unbalanced window is only 12 steps wide at 1500 points, so its
+        # parabola vertex is 3.5e-4 low there (2e-9 for the matched one).
+        for system, height_rel, fwhm_rel in (
+            (matched_system(), 1e-6, 1e-4),
+            (unbalanced_system(), 1e-3, 1e-2),
+        ):
+            odd = analyze_windows(sweep(SweepConfig(system, -1.5, 1.5, 1501)))
+            for n in (68, 200, 1500, 1502):
+                report = analyze_windows(sweep(SweepConfig(system, -1.5, 1.5, n)))
+                assert len(report.peaks) == 3 and len(report.dips) == 2
+                central = report.peaks[1]
+                assert abs(central.detuning) < 1e-12
+                if n >= 1500:
+                    assert central.height == pytest.approx(odd.peaks[1].height, rel=height_rel)
+                    assert central.fwhm == pytest.approx(odd.peaks[1].fwhm, rel=fwhm_rel)
+        bare = analyze_windows(sweep(SweepConfig(decoupled_system(), -3.0, 3.0, 600)))
+        assert len(bare.peaks) == 1 and not bare.dips
+        # 2 |epsilon| / kappa_a, and a width of kappa_a
+        assert bare.peaks[0].height == pytest.approx(0.06, rel=1e-6)
+        assert abs(bare.peaks[0].fwhm - 1.0) <= 1e-3
+
     def test_window_contrast_fades_with_damping(self):
         contrasts = []
         for rate in (1e-3, 0.1, 0.5):
