@@ -423,6 +423,20 @@ def _solve_lu(matrix: sp.spmatrix) -> np.ndarray:
     return x
 
 
+def _threshold(m: sp.csr_matrix) -> float:
+    """Largest residual ||m vec(rho)||_2 a fixed point of ``m`` may leave:
+    1e-10 * max|entries of m|."""
+    return RESIDUAL_TOL * float(np.abs(m.data).max())
+
+
+def _certify(m: sp.csr_matrix, x: np.ndarray, threshold: float) -> float:
+    """||m x||_2, or SolverError if it exceeds ``threshold``."""
+    residual = float(np.linalg.norm(m @ x))
+    if not residual <= threshold:  # also catches a non-finite solution
+        raise SolverError(f"steady-state residual {residual:.3e} exceeds {threshold:.3e}")
+    return residual
+
+
 def steady_state_dm(
     liou: Liouvillian, info: dict | None = None, shift: float = 0.0
 ) -> DensityMatrix:
@@ -449,7 +463,7 @@ def steady_state_dm(
     residual and its threshold.
     """
     m = _shifted(liou, shift)
-    threshold = RESIDUAL_TOL * float(np.abs(m.data).max())
+    threshold = _threshold(m)
     route = "structured"
     x, iterations, converged = _solve_structured(liou, m)
     residual = np.inf if x is None else float(np.linalg.norm(m @ x))
@@ -463,11 +477,7 @@ def steady_state_dm(
             )
         route = "lu"
         x = _solve_lu(m)
-        residual = float(np.linalg.norm(m @ x))
-        if not residual <= threshold:  # also catches a non-finite solution
-            raise SolverError(
-                f"steady-state residual {residual:.3e} exceeds {threshold:.3e}"
-            )
+        residual = _certify(m, x, threshold)
 
     log.debug(
         "steady_state_dm: %s route, %d iterations, residual %.3e of %.3e",
@@ -480,6 +490,25 @@ def steady_state_dm(
         )
     s = _unvec(x, liou.dim)
     return DensityMatrix(0.5 * (s + s.conj().T))
+
+
+def mirror_dm(liou: Liouvillian, rho: DensityMatrix, shift: float) -> DensityMatrix:
+    """U conj(rho) U with U = diag((-1)^(qubit + n_a)): from the fixed point
+    of L - shift*D, the fixed point of L + shift*D.
+
+    With real drive and no offsets, H(delta_p) is real, and U flips a and
+    sigma_-, so U H(delta_p) U = -H(-delta_p) while every dissipator (real
+    jump operators, each even or odd under U) is unchanged.  The map is a
+    sign pattern and a conjugation, so it is exact in floating point.  The
+    result is held to the residual bound of ``steady_state_dm`` at ``shift``,
+    which also rejects a generator the identity does not hold for.
+    """
+    q, na, _ = np.indices((2, liou.spec.n_a, liou.spec.n_b)).reshape(3, -1)
+    u = 1.0 - 2.0 * ((q + na) % 2)
+    out = DensityMatrix(np.outer(u, u) * rho.matrix.conj())
+    m = _shifted(liou, shift)
+    _certify(m, _vec(out.matrix), _threshold(m))
+    return out
 
 
 def evolve(

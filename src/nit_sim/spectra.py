@@ -7,6 +7,9 @@ A = -Im<a>.  Points are independent.  The quantum backend solves them on a
 pool of NIT_SIM_THREADS workers (default 1; the pool runs at every count),
 which can change wall time but never values; the workers share one
 generator, assembled once per sweep: a detuning only shifts its diagonal.
+With both offsets zero and a real drive it solves only one point of each
+mirror pair (d, -d) and builds the other by the exact conjugation symmetry
+of the master equation (see ``quantum_expectations``).
 
 Symmetric requests (delta_min == -delta_max, odd point count) get a grid
 built by mirroring the non-negative half, so it is exactly symmetric in
@@ -16,6 +19,7 @@ the last bit.
 
 from __future__ import annotations
 
+import logging
 import math
 import os
 import warnings
@@ -28,7 +32,16 @@ from .analytic import steady_state
 from .errors import ConfigError, DomainError, NumericalError
 from .meanfield import relax_many
 from .model import SystemParams, normalize
-from .quantum import HilbertSpec, build_liouvillian, build_operators, expectation, steady_state_dm
+from .quantum import (
+    HilbertSpec,
+    build_liouvillian,
+    build_operators,
+    expectation,
+    mirror_dm,
+    steady_state_dm,
+)
+
+log = logging.getLogger(__name__)
 
 CSV_HEADER = "delta_p,re_a,im_a,absorption"
 BACKENDS = ("analytic", "meanfield", "quantum")
@@ -114,24 +127,53 @@ def quantum_expectations(systems, spec: HilbertSpec, operators) -> np.ndarray:
     The points may differ only in delta_p.  Their generator is assembled
     once, at delta_p = 0, and each point is solved as its detuning's shift
     of it (see ``steady_state_dm``) on NIT_SIM_THREADS workers that share
-    it.  A failure at any point cancels the points not yet started and is
-    re-raised with its detuning attached.
+    it.  With both offsets zero and a real drive, a point d > 0 whose exact
+    negation -d is also a point is not solved: the worker that solves -d
+    builds its state as ``mirror_dm`` of that solution, which is exact, so
+    the values are those of a direct solve to the last bit.  The solved
+    points are submitted in grid order.  A failure at any point cancels the
+    points not yet started and is re-raised with its detuning attached.
     """
     base = replace(systems[0], delta_p=0.0)
     if any(replace(s, delta_p=0.0) != base for s in systems):
         raise DomainError("master-equation points must differ only in delta_p")
     liou = build_liouvillian(base, spec)
 
-    def solve_point(sys_i: SystemParams) -> list[complex]:
-        try:
-            rho = steady_state_dm(liou, shift=sys_i.delta_p)
-            return [expectation(op, rho) for op in operators]
-        except NumericalError as exc:
-            raise exc.__class__(f"at delta_p={sys_i.delta_p!r}: {exc}") from exc
+    symmetric = (base.delta_b_offset == 0 and base.delta_q_offset == 0
+                 and base.epsilon.imag == 0)
+    negative = {s.delta_p for s in systems if s.delta_p < 0} if symmetric else set()
+    mirrored: dict[float, list[int]] = {}  # -d -> the points at d > 0 built from it
+    solved = []
+    for i, s in enumerate(systems):
+        if s.delta_p > 0 and -s.delta_p in negative:
+            mirrored.setdefault(-s.delta_p, []).append(i)
+        else:
+            solved.append(i)
+    tasks = [(i, mirrored.pop(systems[i].delta_p, [])) for i in solved]
+    log.debug("quantum_expectations: %d points, %d solves, %d mirrored",
+              len(systems), len(tasks), len(systems) - len(tasks))
 
+    def solve_point(task) -> list[tuple[int, list[complex]]]:
+        i, partners = task
+        d = systems[i].delta_p
+        try:
+            rho = steady_state_dm(liou, shift=d)
+            rows = [(i, [expectation(op, rho) for op in operators])]
+            if partners:
+                d = -d
+                rho = mirror_dm(liou, rho, d)
+                row = [expectation(op, rho) for op in operators]
+                rows += [(j, row) for j in partners]
+            return rows
+        except NumericalError as exc:
+            raise exc.__class__(f"at delta_p={d!r}: {exc}") from exc
+
+    out = [None] * len(systems)
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        rows = list(pool.map(solve_point, systems))
-    return np.array(rows, dtype=complex).T
+        for rows in pool.map(solve_point, tasks):
+            for i, row in rows:
+                out[i] = row
+    return np.array(out, dtype=complex).T
 
 
 def stationary_a(systems, backend: str, spec: HilbertSpec | None = None) -> np.ndarray:

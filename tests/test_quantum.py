@@ -256,6 +256,17 @@ class TestSteadyState:
 
     @pytest.mark.parametrize(
         "overrides",
+        [dict(delta_b_offset=0.07), dict(delta_q_offset=-0.05), dict(epsilon=0.01 + 0.005j)],
+        ids=["delta_b_offset", "delta_q_offset", "complex-drive"],
+    )
+    def test_mirror_fails_its_residual_without_the_symmetry(self, overrides):
+        liou = build_liouvillian(weak_drive_system(**overrides), HilbertSpec(3, 3))
+        rho = steady_state_dm(liou, shift=-0.4)
+        with pytest.raises(SolverError, match=r"steady-state residual .* exceeds"):
+            quantum.mirror_dm(liou, rho, 0.4)
+
+    @pytest.mark.parametrize(
+        "overrides",
         [dict(delta_b_offset=0.07, delta_q_offset=-0.05), dict(epsilon=0.3)],
         ids=["offsets", "eps0.3"],
     )

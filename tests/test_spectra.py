@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import logging
 import math
 import time
 from dataclasses import replace
@@ -27,7 +28,13 @@ from nit_sim import (
     sweep,
     to_csv_text,
 )
-from nit_sim.quantum import HilbertSpec, build_operators
+from nit_sim.quantum import (
+    HilbertSpec,
+    build_liouvillian,
+    build_operators,
+    expectation,
+    steady_state_dm,
+)
 from nit_sim.spectra import CSV_HEADER, MIN_WINDOW_POINTS, quantum_expectations, worker_count
 
 from conftest import (
@@ -194,8 +201,80 @@ class TestSweep:
         calls.clear()
         sweep(SweepConfig(weak_drive_system(), -0.6, 0.6, 3, backend="quantum",
                           quantum_spec=HilbertSpec(3, 3)))
-        # one generator per sweep, shifted to each of the three detunings
+        # one generator per sweep, shifted to -0.6 and 0; +0.6 is mirrored
+        assert calls == {"build_liouvillian": 1, "steady_state_dm": 2, "expectation": 3}
+        calls.clear()
+        sweep(SweepConfig(weak_drive_system(), -0.2, 1.0, 3, backend="quantum",
+                          quantum_spec=HilbertSpec(3, 3)))
+        # no point of [-0.2, 0.4, 1.0] is another's negation: three solves
         assert calls == {"build_liouvillian": 1, "steady_state_dm": 3, "expectation": 3}
+
+
+class TestMirroredPoints:
+    """A point whose negation is also a point is built from that point's
+    state by the exact conjugation symmetry (see ``quantum.mirror_dm``)."""
+
+    @staticmethod
+    def sweep_and_direct(monkeypatch, base, spec, grid):
+        """<a>, <b>, <b sz> and <sigma_-> from quantum_expectations, the same
+        from steady_state_dm(liou, shift=d) at every point, and the sweep's
+        solves.  sigma_- alone sees the qubit's sign in the mirror."""
+        calls = []
+        real = spectra.steady_state_dm
+
+        def recording(liou, shift=0.0, **kwargs):
+            calls.append((shift, real(liou, shift=shift, **kwargs)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(spectra, "steady_state_dm", recording)
+        o = build_operators(spec)
+        ops = [o.a, o.b, o.b @ o.sigma_z, o.sigma_minus]
+        got = quantum_expectations([replace(base, delta_p=float(d)) for d in grid], spec, ops)
+        solved = dict(calls)
+        liou = build_liouvillian(base, spec)
+        rhos = [solved.get(d) or steady_state_dm(liou, shift=float(d)) for d in grid]
+        want = np.array([[expectation(op, rho) for op in ops] for rho in rhos]).T
+        return got, want, len(calls)
+
+    @pytest.mark.parametrize(
+        "base, n, grid, solves",
+        [
+            (weak_drive_system(), 5, detuning_grid(-1.5, 1.5, 11), 6),
+            (weak_drive_system(lam=1.0, g=0.15), 5, detuning_grid(-1.5, 1.5, 7), 4),
+            (weak_drive_system(gamma=0.0, gamma_phi=0.0), 4, detuning_grid(-1.5, 1.5, 7), 4),
+            (weak_drive_system(epsilon=1.0), 4, detuning_grid(-1.5, 1.5, 5), 3),  # all LU
+            (weak_drive_system(epsilon=0.3), 6, detuning_grid(-1.5, 1.5, 5), 3),
+            # pairs +-0.5 and +-1 of [-1, -0.5, 0, 0.5, 1, 1.5, 2]
+            (weak_drive_system(), 4, np.linspace(-1.0, 2.0, 7), 5),
+        ],
+        ids=["criterion02", "unbalanced", "undamped-qubit", "eps1", "eps0.3", "asymmetric"],
+    )
+    def test_bytes_match_a_direct_solve_at_every_point(
+        self, monkeypatch, base, n, grid, solves
+    ):
+        got, want, made = self.sweep_and_direct(monkeypatch, base, HilbertSpec(n, n), grid)
+        assert got.tobytes() == want.tobytes()
+        assert made == solves
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(delta_b_offset=0.07, delta_q_offset=-0.05), dict(epsilon=0.01 + 0.005j)],
+        ids=["offsets", "complex-drive"],
+    )
+    def test_broken_symmetry_solves_every_point(self, monkeypatch, overrides):
+        grid = detuning_grid(-1.5, 1.5, 11)
+        got, want, solves = self.sweep_and_direct(
+            monkeypatch, weak_drive_system(**overrides), HilbertSpec(3, 3), grid
+        )
+        assert got.tobytes() == want.tobytes()
+        assert solves == 11
+
+    def test_logs_points_solves_and_mirrored(self, caplog):
+        spec = HilbertSpec(3, 3)
+        systems = [weak_drive_system(delta_p=float(d)) for d in detuning_grid(-1.0, 1.0, 5)]
+        with caplog.at_level(logging.DEBUG, logger="nit_sim.spectra"):
+            quantum_expectations(systems, spec, [build_operators(spec).a])
+        assert "quantum_expectations: 5 points, 3 solves, 2 mirrored" in caplog.messages
 
 
 class TestCsv:
