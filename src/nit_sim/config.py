@@ -136,10 +136,7 @@ def _formats(raw: str) -> tuple[str, ...]:
 
 
 def _float_list(raw: str) -> tuple[float, ...]:
-    items = [s.strip() for s in raw.split(",") if s.strip()]
-    if not items:
-        raise ValueError("expected a comma-separated list of numbers")
-    return tuple(_num(s) for s in items)
+    return tuple(_num(s.strip()) for s in raw.split(","))
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,13 @@
 
 Basis order is qubit (x) Fock(a) (x) Fock(b), with qubit basis {|g>, |e>}
 and sigma_z|e> = +|e>.  Density matrices are column-vectorized, so
-vec(A rho B) = kron(B^T, A) vec(rho), and the generator is
+vec(A rho B) = S(A, B) vec(rho) with S(A, B) = kron(B^T, A).  The generator
+splits into the effective Hamiltonian K and the jumps,
 
-    L = -i[(I (x) H) - (H^T (x) I)]
-        + sum_k c_k [2 conj(B_k) (x) B_k - I (x) B_k^dag B_k
-                     - (B_k^dag B_k)^T (x) I]
+    L rho = -i(K rho - rho K^dag) + sum_k 2 c_k B_k rho B_k^dag,
+    K = H - i sum_k c_k B_k^dag B_k,
 
+so that L = -i S(K, I) + i S(I, K^dag) + sum_k 2 c_k S(B_k, B_k^dag),
 with channels (c, B):
 
     (gamma/2,     sigma_-)   qubit relaxation: population decay gamma
@@ -189,36 +190,27 @@ class Liouvillian:
 
     def trace_vector(self) -> np.ndarray:
         """Row functional t with t . vec(rho) = trace(rho)."""
-        t = np.zeros(self.dim2)
-        t[np.arange(self.dim) * (self.dim + 1)] = 1.0
-        return t
+        return _vec(np.eye(self.dim))
 
     def trace_defect(self) -> float:
         """Max abs of the trace functional applied to the generator columns."""
         return float(np.max(np.abs(self.trace_vector() @ self.matrix)))
 
 
-def _lmul(op: sp.spmatrix, ident: sp.spmatrix) -> sp.csr_matrix:
+def _super(left: sp.spmatrix, right: sp.spmatrix) -> sp.csr_matrix:
+    """S(left, right) = kron(right^T, left), so S vec(rho) = vec(left rho right)."""
     import scipy.sparse as sp
 
-    return sp.kron(ident, op, format="csr")
-
-
-def _rmul(op: sp.spmatrix, ident: sp.spmatrix) -> sp.csr_matrix:
-    import scipy.sparse as sp
-
-    return sp.kron(op.T, ident, format="csr")
+    return sp.kron(right.T, left, format="csr")
 
 
 def build_liouvillian(sys: SystemParams, spec: HilbertSpec) -> Liouvillian:
-    """Assemble the vectorized generator for the given rate set."""
-    import scipy.sparse as sp
-
+    """Assemble the vectorized generator for the given rate set from the
+    effective Hamiltonian K and the jumps (see the module docstring)."""
     ops = build_operators(spec)
-    h = build_hamiltonian(sys, spec)
     ident = ops.identity
-
-    gen = -1j * (_lmul(h, ident) - _rmul(h, ident))
+    k = build_hamiltonian(sys, spec)
+    jumps = []
     channels = (
         (0.5 * sys.gamma, ops.sigma_minus),
         (0.25 * sys.gamma_phi, ops.sigma_z),  # coherence decay gamma_phi
@@ -228,14 +220,11 @@ def build_liouvillian(sys: SystemParams, spec: HilbertSpec) -> Liouvillian:
     for rate, op in channels:
         if rate == 0.0:
             continue
-        bb = (op.conj().T @ op).tocsr()
-        gen = gen + rate * (
-            2.0 * sp.kron(op.conj(), op, format="csr")
-            - _lmul(bb, ident)
-            - _rmul(bb, ident)
-        )
+        k = k - 1j * rate * (op.conj().T @ op)
+        jumps.append(2.0 * rate * _super(op, op.conj().T))
+    gen = -1j * _super(k, ident) + 1j * _super(ident, k.conj().T) + sum(jumps)
 
-    liou = Liouvillian(gen.tocsr(), spec)
+    liou = Liouvillian(gen, spec)
     defect = liou.trace_defect()
     if defect > 1e-10:
         raise SolverError(f"generator does not preserve trace: defect {defect:.3e}")
@@ -400,8 +389,7 @@ def _solve_lu(matrix: sp.spmatrix) -> np.ndarray:
     import scipy.sparse.linalg as spla
 
     n = matrix.shape[0]
-    trace = np.zeros(n)
-    trace[:: math.isqrt(n) + 1] = 1.0
+    trace = _vec(np.eye(math.isqrt(n)))
     m = sp.vstack([sp.csr_matrix(trace), matrix[1:]], format="csc")
     rhs_ = np.zeros(n, dtype=complex)
     rhs_[0] = 1.0
@@ -603,9 +591,9 @@ def rwa_error_probe(
     ops = build_operators(spec)
     ident = ops.identity
     x = (-sys.lam * (ops.a @ ops.b) + sys.g * (ops.sigma_minus @ ops.b)).tocsr()
-    s_lo = -1j * (_lmul(x, ident) - _rmul(x, ident))
-    xd = x.conj().T.tocsr()
-    s_hi = -1j * (_lmul(xd, ident) - _rmul(xd, ident))
+    s_lo, s_hi = (
+        -1j * (_super(op, ident) - _super(ident, op)) for op in (x, x.conj().T)
+    )
 
     n2 = liou.dim2
     lmat = liou.matrix

@@ -354,6 +354,19 @@ class TestDiagnostics:
             parse_config(text)
 
     @pytest.mark.parametrize(
+        "line", ["gamma_phi_values = 1e-3,,0.1", "gamma_phi_values = 1e-3, 0.1,"],
+        ids=["inner", "trailing"],
+    )
+    def test_empty_dephasing_item(self, line):
+        text = SWEEP_TEXT.replace("command = sweep", "command = dephasing-scan")
+        text = with_lines(text, "[dephasing]", line)
+        lineno = text.splitlines().index(line) + 1
+        msg = f"line {lineno}: gamma_phi_values: expected a number, got ''"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value) == msg
+
+    @pytest.mark.parametrize(
         "command, old, new, key, raw",
         [
             ("dephasing-scan", "gamma_phi_values = 1e-3",

@@ -142,6 +142,58 @@ class TestLiouvillian:
         assert liou.trace_defect() <= 1e-10
         assert liou.dim2 == SPEC44.dim**2
 
+    @pytest.mark.parametrize(
+        "overrides, nnz",
+        [
+            (dict(), (368, 1000, 2565)),
+            (
+                dict(delta_p=0.37, delta_b_offset=0.07, delta_q_offset=-0.05,
+                     epsilon=0.02 - 0.03j, kappa_b=0.02, gamma=0.03, gamma_phi=0.05),
+                (368, 1000, 2565),
+            ),
+            (dict(gamma=0.0, gamma_phi=0.0), (352, 964, 2484)),
+        ],
+        ids=["criterion-02", "all-channels", "undamped-qubit"],
+    )
+    def test_generator_is_the_lindblad_equation(self, overrides, nnz):
+        # column i + j*dim of L is vec(L |i><j|), with L applied densely as
+        # -i[H, E] + sum_k c_k (2 B E B' - B'B E - E B'B)
+        sys = weak_drive_system(**overrides)
+        for spec, want_nnz in zip((SPEC22, HilbertSpec(3, 2), HilbertSpec(3, 3)), nnz):
+            ops = build_operators(spec)
+            h = build_hamiltonian(sys, spec).toarray()
+            channels = [
+                (c, b.toarray(), b.conj().T.toarray())
+                for c, b in (
+                    (0.5 * sys.gamma, ops.sigma_minus),
+                    (0.25 * sys.gamma_phi, ops.sigma_z),
+                    (0.5 * sys.kappa_a, ops.a),
+                    (0.5 * sys.kappa_b, ops.b),
+                )
+            ]
+            dim = spec.dim
+            want = np.empty((dim * dim, dim * dim), dtype=complex)
+            for j in range(dim):
+                for i in range(dim):
+                    e = np.zeros((dim, dim))
+                    e[i, j] = 1.0
+                    out = -1j * (h @ e - e @ h)
+                    for c, b, bd in channels:
+                        out += c * (2 * b @ e @ bd - bd @ b @ e - e @ bd @ b)
+                    want[:, i + j * dim] = out.ravel(order="F")
+
+            m = build_liouvillian(sys, spec).matrix
+            got = m.toarray()
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(got).max()
+            # the dense nonzeros, plus the diagonal that Liouvillian stores in full
+            coo = m.tocoo()
+            stored = np.zeros(want.shape, dtype=bool)
+            stored[coo.row, coo.col] = True
+            np.testing.assert_array_equal(
+                stored, (want != 0) | np.eye(dim * dim, dtype=bool)
+            )
+            assert m.nnz == want_nnz
+
     @pytest.mark.parametrize("n", [3, 5])
     @pytest.mark.parametrize(
         "overrides",
