@@ -216,20 +216,15 @@ def _cmd_validate(cfg: RunConfig, outdir: Path, files: list[str]) -> tuple[dict,
                 CLOSURE_TOL * float(b_mag.max()),
             )
         )
-    rows = []
-    all_pass = True
+    rows = [{"check": c, "value": v, "threshold": t, "passed": v < t} for c, v, t in checks]
+    all_pass = all(r["passed"] for r in rows)
     print(
         f"cross-backend validation: {v.n_points} detunings on "
         f"[{v.delta_min:g}, {v.delta_max:g}], truncation ({spec.n_a}, {spec.n_b})"
     )
-    for name, value, threshold in checks:
-        ok = value < threshold
-        all_pass &= ok
-        rows.append(
-            {"check": name, "value": value, "threshold": threshold, "passed": ok}
-        )
-        print(f"  {name:34s} {value:12.5e}  < {threshold:g}  "
-              f"{'PASS' if ok else 'FAIL'}")
+    for r in rows:
+        print(f"  {r['check']:34s} {r['value']:12.5e}  < {r['threshold']:g}  "
+              f"{'PASS' if r['passed'] else 'FAIL'}")
     payload = {
         "validate": {
             "grid": _grid_fields(v),

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import difflib
+import re
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Callable
 
@@ -190,7 +191,9 @@ _SCHEMA: dict[str, dict[str, _Field]] = {
         "abs_tol": _Field(_num, default=EvolveSettings.abs_tol, check=_TOL),
     },
     "dephasing": {
-        "gamma_phi_values": _Field(_float_list, required=True),
+        "gamma_phi_values": _Field(
+            _float_list, required=True, check=(lambda v: min(v) >= 0, "must be >= 0")
+        ),
     },
     "validate": {
         "delta_min": _Field(_num, default=-1.5),
@@ -212,12 +215,7 @@ def _tokenize(text: str) -> dict[str, dict[str, tuple[str, int]]]:
     blocks: dict[str, dict[str, tuple[str, int]]] = {}
     current: str | None = None
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line
-        for marker in ("#", ";"):
-            pos = line.find(marker)
-            if pos >= 0:
-                line = line[:pos]
-        line = line.strip()
+        line = re.split("[#;]", raw_line, maxsplit=1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
@@ -291,22 +289,30 @@ def _apply_schema(block: str, raw: dict[str, tuple[str, int]]) -> dict[str, Any]
     return out
 
 
-def _build(block: str, make: Callable[[], Any]) -> Any:
+def _build(block: str, make: Callable[..., Any], *args) -> Any:
     """Run a block's constructor, reporting its DomainError as a ConfigError."""
     try:
-        return make()
+        return make(*args)
     except DomainError as exc:
         raise ConfigError(f"[{block}]: {exc}") from None
 
 
-def _grid(block: str, system: SystemParams, backend: str, n_a: int, n_b: int, **grid):
+def _grid(system: SystemParams, backend: str, n_a: int, n_b: int, **grid):
     """[sweep] or [validate] as a SweepConfig; only the quantum backend
     reads the truncation n_a, n_b."""
-    spec = _build(block, lambda: HilbertSpec(n_a, n_b)) if backend == "quantum" else None
-    return _build(
-        block,
-        lambda: SweepConfig(base=system, backend=backend, quantum_spec=spec, **grid),
-    )
+    spec = HilbertSpec(n_a, n_b) if backend == "quantum" else None
+    return SweepConfig(base=system, backend=backend, quantum_spec=spec, **grid)
+
+
+# the RunConfig field of each block but [run] and [system], from the
+# normalized system and the block's schema values
+_MAKE: dict[str, Callable[[SystemParams, dict[str, Any]], Any]] = {
+    "physical": lambda system, v: PhysicalParams(**v),
+    "sweep": lambda system, v: _grid(system, **v),
+    "evolve": lambda system, v: EvolveSettings(**v),
+    "dephasing": lambda system, v: v["gamma_phi_values"],
+    "validate": lambda system, v: _grid(system, backend="quantum", **v),
+}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -342,19 +348,7 @@ def parse_config(text: str) -> RunConfig:
     rates["lam"] = rates.pop("lambda")
     system = _build("system", lambda: normalize(SystemParams(**rates)))
 
-    physical = sweep = evolve = dephasing = validate = None
-    if "physical" in blocks:
-        physical = _build("physical", lambda: PhysicalParams(**blocks["physical"]))
-    if "sweep" in blocks:
-        sweep = _grid("sweep", system, **blocks["sweep"])
-    if "evolve" in blocks:
-        evolve = EvolveSettings(**blocks["evolve"])
-    if "dephasing" in blocks:
-        dephasing = blocks["dephasing"]["gamma_phi_values"]
-        if any(v < 0 for v in dephasing):
-            raise ConfigError("[dephasing]: gamma_phi_values must be >= 0")
-    if "validate" in blocks:
-        validate = _grid("validate", system, backend="quantum", **blocks["validate"])
+    made = {b: _build(b, f, system, blocks[b]) for b, f in _MAKE.items() if b in blocks}
 
     if command == "validate":
         for key, value in (("epsilon", system.epsilon), ("lambda", system.lam)):
@@ -374,12 +368,8 @@ def parse_config(text: str) -> RunConfig:
         system=system,
         output_dir=run["out"],
         formats=run["formats"],
-        physical=physical,
-        sweep=sweep,
-        evolve=evolve,
-        dephasing=dephasing,
-        validate=validate,
         blocks=blocks,
+        **made,
     )
 
 

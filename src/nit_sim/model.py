@@ -15,6 +15,7 @@ magnitudes quoted as plain kHz/MHz are multiplied by 2*pi on ingestion.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, fields, replace
@@ -36,7 +37,7 @@ class SystemParams:
     All fields share one angular-frequency unit.  ``delta_p`` is the common
     probe detuning; the ion-motion and qubit detunings are
     ``delta_p + delta_b_offset`` and ``delta_p + delta_q_offset``.
-    ``epsilon`` is the (complex) drive amplitude.
+    ``epsilon`` is the (complex) drive amplitude.  Every field must be finite.
     """
 
     delta_p: float
@@ -58,6 +59,9 @@ class SystemParams:
             if not v >= 0:
                 raise DomainError(f"{name} must be >= 0, got {v!r}")
         object.__setattr__(self, "epsilon", complex(self.epsilon))
+        for name, v in vars(self).items():
+            if not cmath.isfinite(v):
+                raise DomainError(f"{name} must be finite, got {v!r}")
 
     @property
     def kappa_q(self) -> float:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -68,6 +69,8 @@ class HilbertSpec:
     n_b: int = 5
 
     def __post_init__(self):
+        if not all(isinstance(n, numbers.Integral) for n in (self.n_a, self.n_b)):
+            raise DomainError(f"n_a, n_b must be integers, got {self.n_a!r}, {self.n_b!r}")
         if self.n_a < 2 or self.n_b < 2:
             raise DomainError(
                 f"need at least two Fock levels per mode, got "
@@ -180,22 +183,6 @@ class Liouvillian:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "pieces", _build_pieces(m, self.spec))
 
-    @property
-    def dim(self) -> int:
-        return self.spec.dim
-
-    @property
-    def dim2(self) -> int:
-        return self.dim * self.dim
-
-    def trace_vector(self) -> np.ndarray:
-        """Row functional t with t . vec(rho) = trace(rho)."""
-        return _vec(np.eye(self.dim))
-
-    def trace_defect(self) -> float:
-        """Max abs of the trace functional applied to the generator columns."""
-        return float(np.max(np.abs(self.trace_vector() @ self.matrix)))
-
 
 def _super(left: sp.spmatrix, right: sp.spmatrix) -> sp.csr_matrix:
     """S(left, right) = kron(right^T, left), so S vec(rho) = vec(left rho right)."""
@@ -225,7 +212,8 @@ def build_liouvillian(sys: SystemParams, spec: HilbertSpec) -> Liouvillian:
     gen = -1j * _super(k, ident) + 1j * _super(ident, k.conj().T) + sum(jumps)
 
     liou = Liouvillian(gen, spec)
-    defect = liou.trace_defect()
+    # the trace functional applied to every column of the generator
+    defect = float(np.max(np.abs(_trace_row(spec.dim) @ liou.matrix)))
     if defect > 1e-10:
         raise SolverError(f"generator does not preserve trace: defect {defect:.3e}")
     return liou
@@ -270,6 +258,11 @@ def _vec(m: np.ndarray) -> np.ndarray:
 
 def _unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return v.reshape(dim, dim, order="F")
+
+
+def _trace_row(dim: int) -> np.ndarray:
+    """Row functional t with t . vec(rho) = trace(rho)."""
+    return _vec(np.eye(dim))
 
 
 def expectation(op: sp.spmatrix, rho) -> complex:
@@ -374,10 +367,10 @@ def _solve_structured(
         a, p.rhs, rtol=SOLVE_RTOL, atol=0.0, maxiter=SOLVE_MAXITER,
         M=spla.LinearOperator(a.shape, precondition, dtype=complex),
     )
-    x = np.empty(liou.dim2, dtype=complex)
+    x = np.empty(p.order.size, dtype=complex)
     x[p.order] = np.concatenate(([1.0], y))
     # an iteration solves twice, but may converge after its first solve
-    return x / (liou.trace_vector() @ x), (solves + 1) // 2, status == 0
+    return x / (_trace_row(liou.spec.dim) @ x), (solves + 1) // 2, status == 0
 
 
 def _solve_lu(matrix: sp.spmatrix) -> np.ndarray:
@@ -389,8 +382,7 @@ def _solve_lu(matrix: sp.spmatrix) -> np.ndarray:
     import scipy.sparse.linalg as spla
 
     n = matrix.shape[0]
-    trace = _vec(np.eye(math.isqrt(n)))
-    m = sp.vstack([sp.csr_matrix(trace), matrix[1:]], format="csc")
+    m = sp.vstack([sp.csr_matrix(_trace_row(math.isqrt(n))), matrix[1:]], format="csc")
     rhs_ = np.zeros(n, dtype=complex)
     rhs_[0] = 1.0
 
@@ -476,7 +468,7 @@ def steady_state_dm(
             route=route, iterations=iterations, residual=residual,
             threshold=threshold,
         )
-    s = _unvec(x, liou.dim)
+    s = _unvec(x, liou.spec.dim)
     return DensityMatrix(0.5 * (s + s.conj().T))
 
 
@@ -537,7 +529,7 @@ def evolve(
         if solver.status == "failed":
             raise StiffnessError("adaptive step failed during evolution")
         n_steps += 1
-        s = _unvec(solver.y, liou.dim)
+        s = _unvec(solver.y, liou.spec.dim)
         herm_drift = max(herm_drift, float(np.max(np.abs(s - s.conj().T))))
         trace_drift = max(trace_drift, abs(s.trace() - 1.0))
         s = 0.5 * (s + s.conj().T)
@@ -554,7 +546,7 @@ def evolve(
         )
     if trace_drift > TRACE_DRIFT_MAX:
         raise SolverError(f"trace drift {trace_drift:.3e} exceeds {TRACE_DRIFT_MAX:g}")
-    return DensityMatrix(_unvec(solver.y, liou.dim))
+    return DensityMatrix(_unvec(solver.y, liou.spec.dim))
 
 
 def trace_distance(r1, r2) -> float:
@@ -595,7 +587,7 @@ def rwa_error_probe(
         -1j * (_super(op, ident) - _super(ident, op)) for op in (x, x.conj().T)
     )
 
-    n2 = liou.dim2
+    n2 = spec.dim**2
     lmat = liou.matrix
     v0 = _vec(vacuum_state(spec).matrix)
     w0 = np.concatenate([v0, v0])
@@ -625,7 +617,7 @@ def rwa_error_probe(
         )
     worst = 0.0
     for j in range(sol.y.shape[1]):
-        r_plain = _unvec(sol.y[:n2, j], liou.dim)
-        r_full = _unvec(sol.y[n2:, j], liou.dim)
+        r_plain = _unvec(sol.y[:n2, j], spec.dim)
+        r_full = _unvec(sol.y[n2:, j], spec.dim)
         worst = max(worst, trace_distance(r_plain, r_full))
     return worst

@@ -131,8 +131,11 @@ def quantum_expectations(systems, spec: HilbertSpec, operators) -> np.ndarray:
     negation -d is also a point is not solved: the worker that solves -d
     builds its state as ``mirror_dm`` of that solution, which is exact, so
     the values are those of a direct solve to the last bit.  The solved
-    points are submitted in grid order.  A failure at any point cancels the
-    points not yet started and is re-raised with its detuning attached.
+    points are submitted in grid order.  A grid never repeats a point; if
+    ``systems`` does, the last point at -d is paired with the last at d and
+    every other copy is solved, so each value still equals a direct solve.
+    A failure at any point cancels the points not yet started and is
+    re-raised with its detuning attached.
     """
     base = replace(systems[0], delta_p=0.0)
     if any(replace(s, delta_p=0.0) != base for s in systems):
@@ -141,38 +144,29 @@ def quantum_expectations(systems, spec: HilbertSpec, operators) -> np.ndarray:
 
     symmetric = (base.delta_b_offset == 0 and base.delta_q_offset == 0
                  and base.epsilon.imag == 0)
-    negative = {s.delta_p for s in systems if s.delta_p < 0} if symmetric else set()
-    mirrored: dict[float, list[int]] = {}  # -d -> the points at d > 0 built from it
-    solved = []
-    for i, s in enumerate(systems):
-        if s.delta_p > 0 and -s.delta_p in negative:
-            mirrored.setdefault(-s.delta_p, []).append(i)
-        else:
-            solved.append(i)
-    tasks = [(i, mirrored.pop(systems[i].delta_p, [])) for i in solved]
+    where = {s.delta_p: i for i, s in enumerate(systems) if symmetric and s.delta_p < 0}
+    # solved point -> the point at its negation, built from its state
+    partner = {where[-s.delta_p]: j for j, s in enumerate(systems) if -s.delta_p in where}
+    mirrored = set(partner.values())
+    tasks = [i for i in range(len(systems)) if i not in mirrored]
     log.debug("quantum_expectations: %d points, %d solves, %d mirrored",
-              len(systems), len(tasks), len(systems) - len(tasks))
+              len(systems), len(tasks), len(partner))
+    out = [None] * len(systems)
 
-    def solve_point(task) -> list[tuple[int, list[complex]]]:
-        i, partners = task
+    def solve_point(i: int) -> None:
         d = systems[i].delta_p
         try:
             rho = steady_state_dm(liou, shift=d)
-            rows = [(i, [expectation(op, rho) for op in operators])]
-            if partners:
+            out[i] = [expectation(op, rho) for op in operators]
+            if i in partner:
                 d = -d
                 rho = mirror_dm(liou, rho, d)
-                row = [expectation(op, rho) for op in operators]
-                rows += [(j, row) for j in partners]
-            return rows
+                out[partner[i]] = [expectation(op, rho) for op in operators]
         except NumericalError as exc:
             raise exc.__class__(f"at delta_p={d!r}: {exc}") from exc
 
-    out = [None] * len(systems)
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        for rows in pool.map(solve_point, tasks):
-            for i, row in rows:
-                out[i] = row
+        list(pool.map(solve_point, tasks))
     return np.array(out, dtype=complex).T
 
 

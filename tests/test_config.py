@@ -347,11 +347,19 @@ class TestDiagnostics:
         text = SWEEP_TEXT.replace("n_points = 201", "n_points = 201\nn_a = 300\nn_b = 300")
         assert parse_config(text).sweep.quantum_spec is None
 
-    def test_negative_dephasing_value(self):
+    def test_negative_dephasing_value(self, tmp_path, capsys):
+        line = "gamma_phi_values = 1e-3, -0.1"
         text = SWEEP_TEXT.replace("command = sweep", "command = dephasing-scan")
-        text = with_lines(text, "[dephasing]", "gamma_phi_values = 1e-3, -0.1")
-        with pytest.raises(ConfigError, match=r"\[dephasing\]"):
+        text = with_lines(text, "[dephasing]", line)
+        lineno = text.splitlines().index(line) + 1
+        msg = f"line {lineno}: gamma_phi_values must be >= 0, got 1e-3, -0.1"
+        with pytest.raises(ConfigError) as err:
             parse_config(text)
+        assert str(err.value) == msg
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        assert main(["dephasing-scan", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert msg in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "line", ["gamma_phi_values = 1e-3,,0.1", "gamma_phi_values = 1e-3, 0.1,"],
@@ -367,23 +375,30 @@ class TestDiagnostics:
         assert str(err.value) == msg
 
     @pytest.mark.parametrize(
-        "command, old, new, key, raw",
+        "command, old, new, key, error",
         [
             ("dephasing-scan", "gamma_phi_values = 1e-3",
-             "gamma_phi_values = 1e-3, nan, inf", "gamma_phi_values", "nan"),
-            ("steady", "delta_p = 0", "delta_p = inf", "delta_p", "inf"),
-            ("steady", "epsilon = 0.03", "epsilon = nan", "epsilon", "nan"),
-            ("evolve", "t_end = 40", "t_end = inf", "t_end", "inf"),
+             "gamma_phi_values = 1e-3, nan, inf", "gamma_phi_values",
+             "expected a finite number, got 'nan'"),
+            ("steady", "delta_p = 0", "delta_p = inf", "delta_p",
+             "expected a finite number, got 'inf'"),
+            ("steady", "epsilon = 0.03", "epsilon = nan", "epsilon",
+             "expected a finite number, got 'nan'"),
+            ("evolve", "t_end = 40", "t_end = inf", "t_end",
+             "expected a finite number, got 'inf'"),
+            ("steady", "epsilon = 0.03", "epsilon = abc", "epsilon",
+             "expected a real or complex number, got 'abc'"),
         ],
-        ids=["dephasing-nan", "delta_p-inf", "epsilon-nan", "t_end-inf"],
+        ids=["dephasing-nan", "delta_p-inf", "epsilon-nan", "t_end-inf", "epsilon-garbled"],
     )
-    def test_non_finite_number(self, tmp_path, capsys, command, old, new, key, raw):
+    def test_non_finite_number(self, tmp_path, capsys, command, old, new, key, error):
+        """A number that is not finite, or not a number at all."""
         text = as_command(
             command, "[dephasing]\ngamma_phi_values = 1e-3\n\n[evolve]\nt_end = 40\n"
         ).replace("gamma_phi = 1e-3\n", "gamma_phi = 1e-3\ndelta_p = 0\n")
         text = text.replace(old, new)
         lineno = text.splitlines().index(new) + 1
-        msg = f"line {lineno}: {key}: expected a finite number, got '{raw}'"
+        msg = f"line {lineno}: {key}: {error}"
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         assert str(err.value) == msg

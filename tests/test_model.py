@@ -62,6 +62,27 @@ class TestSystemParams:
         with pytest.raises(DomainError, match=name):
             matched_system(**{name: math.nan})
 
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (lambda: matched_system(delta_p=math.nan), "delta_p"),
+            (lambda: matched_system(delta_p=-math.inf), "delta_p"),
+            (lambda: matched_system(delta_b_offset=math.inf), "delta_b_offset"),
+            (lambda: matched_system(delta_q_offset=math.nan), "delta_q_offset"),
+            (lambda: matched_system(epsilon=math.nan), "epsilon"),
+            (lambda: matched_system(epsilon=complex(0.03, math.inf)), "epsilon"),
+            (lambda: matched_system(lam=math.inf), "lam"),
+            (lambda: matched_system(kappa_a=math.inf), "kappa_a"),
+        ],
+        ids=["delta_p-nan", "delta_p-inf", "delta_b_offset-inf", "delta_q_offset-nan",
+             "epsilon-nan", "epsilon-imag-inf", "lam-inf", "kappa_a-inf"],
+    )
+    def test_rejects_non_finite_fields(self, make, name):
+        """Caught at construction, before a solver can hang on a NaN step or
+        report it as a degenerate or stiff system."""
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            make()
+
     def test_epsilon_coerced_to_complex(self):
         s = matched_system(epsilon=0.03)
         assert isinstance(s.epsilon, complex)

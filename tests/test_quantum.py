@@ -108,6 +108,14 @@ class TestOperators:
             HilbertSpec(40, 40)
         assert SPEC44.dim == 32
 
+    @pytest.mark.parametrize(
+        "n_a, n_b, shown", [(2.5, 3, "2.5, 3"), (4, 3.0, "4, 3.0")], ids=["n_a", "n_b"]
+    )
+    def test_truncation_must_be_an_integer(self, n_a, n_b, shown):
+        with pytest.raises(DomainError, match=f"n_a, n_b must be integers, got {shown}"):
+            HilbertSpec(n_a, n_b)
+        assert HilbertSpec(np.int64(3), np.int32(2)).dim == 12
+
 
 class TestHamiltonian:
     def test_coupling_matrix_elements(self):
@@ -139,8 +147,9 @@ class TestHamiltonian:
 class TestLiouvillian:
     def test_trace_preservation(self):
         liou = build_liouvillian(weak_drive_system(), SPEC44)
-        assert liou.trace_defect() <= 1e-10
-        assert liou.dim2 == SPEC44.dim**2
+        trace = np.eye(SPEC44.dim).ravel(order="F")
+        assert np.max(np.abs(trace @ liou.matrix)) <= 1e-10
+        assert liou.matrix.shape == (SPEC44.dim**2, SPEC44.dim**2)
 
     @pytest.mark.parametrize(
         "overrides, nnz",

@@ -269,6 +269,15 @@ class TestMirroredPoints:
         assert got.tobytes() == want.tobytes()
         assert solves == 11
 
+    def test_repeated_points_match_a_direct_solve(self, monkeypatch):
+        """The last -0.6 is paired with the last 0.6; the other copies are solved."""
+        grid = [-0.6, -0.6, 0.0, 0.6, 0.6]
+        got, want, solves = self.sweep_and_direct(
+            monkeypatch, weak_drive_system(), HilbertSpec(3, 3), grid
+        )
+        assert got.tobytes() == want.tobytes()
+        assert solves == 4
+
     def test_logs_points_solves_and_mirrored(self, caplog):
         spec = HilbertSpec(3, 3)
         systems = [weak_drive_system(delta_p=float(d)) for d in detuning_grid(-1.0, 1.0, 5)]
