@@ -6,9 +6,12 @@ Commands: steady, sweep, evolve, validate, derive-coupling, dephasing-scan.
 The command given on the command line must match the one in the config's
 [run] block; --out and --format override the corresponding config values.
 
-Every successful run writes `run.json` with the resolved parameters, grid,
-tool version, wall time and the canonical config text, so a run is fully
-reproducible from that file alone.
+Each format selects the command's files of that extension (csv: spectrum,
+trajectory or dephasing .csv; json: steady, windows (sweeps of >= 51
+points), validation or couplings .json; svg: spectrum.svg, sweep only).
+Once the command has run, `run.json` is always written, last: resolved
+parameters, grid, tool version, wall time and the canonical config text,
+so a run is fully reproducible from that file alone.
 
 Exit codes: 0 success, 2 config error, 3 numerical error (including failed
 validation checks), 4 I/O error.
@@ -104,12 +107,17 @@ def _write_text(outdir: Path, name: str, text: str, files: list[str]) -> None:
     files.append(name)
 
 
-def _write_json(outdir: Path, name: str, payload: dict, files: list[str]) -> None:
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
-    _write_text(outdir, name, text, files)
+def _json_text(payload: dict) -> str:
+    return json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
 
 
-def _cmd_steady(cfg: RunConfig, outdir: Path, files: list[str]) -> tuple[dict, bool]:
+# Each handler returns (run.json payload, passed, outputs): outputs maps every
+# file the command can produce, in write order, to a JSON dict or to a
+# zero-argument callable that builds its text; `main` builds and writes the
+# files whose extension is a selected format.
+
+
+def _cmd_steady(cfg: RunConfig) -> tuple[dict, bool, dict]:
     ss = steady_state(cfg.system)
     result = {
         "delta_p": cfg.system.delta_p,
@@ -121,12 +129,10 @@ def _cmd_steady(cfg: RunConfig, outdir: Path, files: list[str]) -> tuple[dict, b
     print(f"  <b>        = {ss.b:.12g}")
     print(f"  <sigma_->  = {ss.sigma_minus:.12g}")
     print(f"  absorption = {ss.absorption:.12g}")
-    if "json" in cfg.formats:
-        _write_json(outdir, "steady.json", result, files)
-    return {"steady": result}, True
+    return {"steady": result}, True, {"steady.json": result}
 
 
-def _cmd_sweep(cfg: RunConfig, outdir: Path, files: list[str]) -> tuple[dict, bool]:
+def _cmd_sweep(cfg: RunConfig) -> tuple[dict, bool, dict]:
     spectrum = run_sweep(cfg.sweep)
     payload: dict = {"sweep": {"backend": spectrum.backend, **_grid_fields(cfg.sweep)}}
     if cfg.sweep.quantum_spec is not None:
@@ -136,27 +142,22 @@ def _cmd_sweep(cfg: RunConfig, outdir: Path, files: list[str]) -> tuple[dict, bo
         f"[{cfg.sweep.delta_min:g}, {cfg.sweep.delta_max:g}], "
         f"backend {spectrum.backend}"
     )
-    if "csv" in cfg.formats:
-        _write_text(outdir, "spectrum.csv", to_csv_text(spectrum), files)
+    outputs: dict = {"spectrum.csv": lambda: to_csv_text(spectrum)}
     if "json" in cfg.formats:
         if spectrum.n_points >= MIN_WINDOW_POINTS:
             report = analyze_windows(spectrum)
-            payload["windows"] = report.to_dict()
-            _write_json(outdir, "windows.json", report.to_dict(), files)
+            payload["windows"] = outputs["windows.json"] = report.to_dict()
             print(
                 f"  {len(report.peaks)} peak(s), {len(report.dips)} dip(s), "
                 f"asymmetry {report.asymmetry:.3g}"
             )
         else:
-            print(
-                f"  window analysis skipped (needs >= {MIN_WINDOW_POINTS} points)"
-            )
-    if "svg" in cfg.formats:
-        _write_text(outdir, "spectrum.svg", emit_svg(spectrum), files)
-    return payload, True
+            print(f"  window analysis skipped (needs >= {MIN_WINDOW_POINTS} points)")
+    outputs["spectrum.svg"] = lambda: emit_svg(spectrum)
+    return payload, True, outputs
 
 
-def _cmd_evolve(cfg: RunConfig, outdir: Path, files: list[str]) -> tuple[dict, bool]:
+def _cmd_evolve(cfg: RunConfig) -> tuple[dict, bool, dict]:
     ev = cfg.evolve
     traj = integrate(
         ZERO_STATE, cfg.system, ev.t_end, rel_tol=ev.rel_tol, abs_tol=ev.abs_tol
@@ -167,10 +168,6 @@ def _cmd_evolve(cfg: RunConfig, outdir: Path, files: list[str]) -> tuple[dict, b
         f"in {len(traj) - 1} accepted steps"
     )
     print(f"  final <a> = {final.a:.12g}")
-    if "csv" in cfg.formats:
-        rows = [(st.t, *_amplitude_fields(st).values()) for st in traj]
-        header = "t,re_a,im_a,re_b,im_b,re_sigma_minus,im_sigma_minus"
-        _write_text(outdir, "trajectory.csv", csv_text(header, rows), files)
     payload = {
         "evolve": {
             "t_end": ev.t_end,
@@ -180,10 +177,12 @@ def _cmd_evolve(cfg: RunConfig, outdir: Path, files: list[str]) -> tuple[dict, b
             "final": _amplitude_fields(final),
         }
     }
-    return payload, True
+    header = "t,re_a,im_a,re_b,im_b,re_sigma_minus,im_sigma_minus"
+    rows = ((st.t, *_amplitude_fields(st).values()) for st in traj)
+    return payload, True, {"trajectory.csv": lambda: csv_text(header, rows)}
 
 
-def _cmd_validate(cfg: RunConfig, outdir: Path, files: list[str]) -> tuple[dict, bool]:
+def _cmd_validate(cfg: RunConfig) -> tuple[dict, bool, dict]:
     v = cfg.validate
     spec = v.quantum_spec
     _, systems = v.points()
@@ -233,16 +232,12 @@ def _cmd_validate(cfg: RunConfig, outdir: Path, files: list[str]) -> tuple[dict,
             "passed": all_pass,
         }
     }
-    if "json" in cfg.formats:
-        _write_json(outdir, "validation.json", payload["validate"], files)
     if not all_pass:
         print("validation FAILED", file=sys.stderr)
-    return payload, all_pass
+    return payload, all_pass, {"validation.json": payload["validate"]}
 
 
-def _cmd_derive_coupling(
-    cfg: RunConfig, outdir: Path, files: list[str]
-) -> tuple[dict, bool]:
+def _cmd_derive_coupling(cfg: RunConfig) -> tuple[dict, bool, dict]:
     p: PhysicalParams = cfg.physical
     ka = cfg.kappa_a_input  # rad/s; parse_config guarantees SI units here
     lam_si = derive_lambda(p)
@@ -264,29 +259,23 @@ def _cmd_derive_coupling(
     print(f"  eta    = {eta:.6g}")
     print(f"  g      = {g_si:.6e} rad/s = {g_si / TWO_PI:.6e} Hz"
           f" = {g_si / ka:.6g} kappa_a")
-    if "json" in cfg.formats:
-        _write_json(outdir, "couplings.json", result, files)
-    return {"couplings": result}, True
+    return {"couplings": result}, True, {"couplings.json": result}
 
 
-def _cmd_dephasing_scan(
-    cfg: RunConfig, outdir: Path, files: list[str]
-) -> tuple[dict, bool]:
+def _cmd_dephasing_scan(cfg: RunConfig) -> tuple[dict, bool, dict]:
     values = np.asarray(cfg.dephasing, dtype=float)
     heights = run_dephasing_scan(cfg.system, values)
     print("central absorption vs dephasing (delta_p = 0)")
     for gph, h in zip(values, heights):
         print(f"  gamma_phi = {gph:<12g} absorption = {h:.12g}")
-    if "csv" in cfg.formats:
-        text = csv_text("gamma_phi,central_absorption", zip(values, heights))
-        _write_text(outdir, "dephasing.csv", text, files)
     payload = {
         "dephasing": {
             "gamma_phi_values": list(values),
             "central_absorption": list(heights),
         }
     }
-    return payload, True
+    header = "gamma_phi,central_absorption"
+    return payload, True, {"dephasing.csv": lambda: csv_text(header, zip(values, heights))}
 
 
 _DISPATCH = {
@@ -349,7 +338,11 @@ def main(argv: list[str] | None = None) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         files: list[str] = []
         start = time.perf_counter()
-        payload, ok = _DISPATCH[cfg.command](cfg, outdir, files)
+        payload, ok, outputs = _DISPATCH[cfg.command](cfg)
+        for name, body in outputs.items():
+            if Path(name).suffix[1:] in cfg.formats:
+                text = body() if callable(body) else _json_text(body)
+                _write_text(outdir, name, text, files)
         run_meta = {
             "tool": "nit-sim",
             "version": __version__,
@@ -363,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
             "config_text": render_config(cfg),
         }
         run_meta.update(payload)
-        _write_json(outdir, "run.json", run_meta, files)
+        _write_text(outdir, "run.json", _json_text(run_meta), files)
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -223,8 +223,8 @@ def integrate(
     Raises StiffnessError if the step size underflows 1e-14 of the span.
     """
     _check_tols(rel_tol, abs_tol)
-    if not t_end > s0.t:
-        raise DomainError(f"t_end={t_end!r} must exceed the initial time {s0.t!r}")
+    if not s0.t < t_end < np.inf:
+        raise DomainError(f"t_end={t_end!r} must be finite and exceed s0.t={s0.t!r}")
 
     rows, c0 = _bank_arrays([sys])
     span = t_end - s0.t
@@ -299,6 +299,8 @@ def relax_many(
     """
     if not 0.0 < tol <= 1e-2:
         raise DomainError(f"tol must lie in (0, 1e-2], got {tol!r}")
+    if not 0.0 < max_time < np.inf:
+        raise DomainError(f"max_time must be finite and > 0, got {max_time!r}")
     for s in systems:
         _require_damped(s)
 

@@ -110,8 +110,8 @@ class PhysicalParams:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if not v > 0:
-                raise DomainError(f"{f.name} must be > 0, got {v!r}")
+            if not 0 < v < math.inf:
+                raise DomainError(f"{f.name} must be finite and > 0, got {v!r}")
 
 
 def derive_lambda(p: PhysicalParams) -> float:

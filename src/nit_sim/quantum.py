@@ -507,8 +507,8 @@ def evolve(
     """
     from scipy.integrate import RK45
 
-    if not t_end > 0:
-        raise DomainError(f"t_end must be > 0, got {t_end!r}")
+    if not 0 < t_end < math.inf:
+        raise DomainError(f"t_end must be finite and > 0, got {t_end!r}")
     if not 0 < tol <= 1e-2:
         raise DomainError(f"tol must lie in (0, 1e-2], got {tol!r}")
 
@@ -579,6 +579,8 @@ def rwa_error_probe(
 
     if not omega_sum > 0:
         raise DomainError(f"omega_sum must be > 0, got {omega_sum!r}")
+    if not 0 < t_end < math.inf:
+        raise DomainError(f"t_end must be finite and > 0, got {t_end!r}")
     liou = build_liouvillian(sys, spec)
     ops = build_operators(spec)
     ident = ops.identity

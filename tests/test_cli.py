@@ -128,6 +128,18 @@ def csv_rows(path: Path) -> list[str]:
     return path.read_text().strip().splitlines()
 
 
+def assert_outputs(out: Path, stdout: str, names: list[str]) -> None:
+    """run.json lists ``names`` in write order, and the last stdout line
+    names them again with run.json, which is written last."""
+    assert json.loads((out / "run.json").read_text())["outputs"] == names
+    assert stdout.splitlines()[-1] == f"wrote {', '.join([*names, 'run.json'])} in {out}"
+    assert sorted(p.name for p in out.iterdir()) == sorted([*names, "run.json"])
+
+
+def unselected(*args, **kwargs):
+    raise AssertionError("built an output whose format is not selected")
+
+
 class TestSweepCommand:
     def test_writes_all_artifacts(self, tmp_path, capsys):
         code, out = run_cli(tmp_path, SWEEP_CFG, "sweep")
@@ -136,7 +148,8 @@ class TestSweepCommand:
             assert (out / name).exists(), name
         assert len(csv_rows(out / "spectrum.csv")) == 202  # header + 201 points
         stdout = capsys.readouterr().out
-        assert "wrote" in stdout and "3 peak(s), 2 dip(s)" in stdout
+        assert "3 peak(s), 2 dip(s)" in stdout
+        assert_outputs(out, stdout, ["spectrum.csv", "windows.json", "spectrum.svg"])
 
     def test_run_json_reproduces_the_run(self, tmp_path):
         code, out = run_cli(tmp_path, SWEEP_CFG, "sweep")
@@ -146,20 +159,21 @@ class TestSweepCommand:
         assert meta["version"] == nit_sim.__version__
         assert meta["command"] == "sweep"
         assert meta["system"]["kappa_q"] == pytest.approx(3e-3)
-        assert set(meta["outputs"]) >= {"spectrum.csv", "windows.json", "spectrum.svg"}
+        assert meta["outputs"] == ["spectrum.csv", "windows.json", "spectrum.svg"]
         again = parse_config(meta["config_text"])
         original = parse_config(SWEEP_CFG)
         assert again.system == original.system
         assert again.sweep == original.sweep
         assert meta["windows"]["dips"][0]["depth"] > 0.9
 
-    def test_format_override_trims_outputs(self, tmp_path):
+    def test_format_override_trims_outputs(self, tmp_path, capsys, monkeypatch):
+        # an unselected format costs nothing: its producers are never called
+        monkeypatch.setattr(cli, "emit_svg", unselected)
+        monkeypatch.setattr(cli, "analyze_windows", unselected)
         code, out = run_cli(tmp_path, SWEEP_CFG, "sweep", "--format", "csv")
         assert code == 0
-        assert (out / "spectrum.csv").exists()
-        assert not (out / "windows.json").exists()
-        assert not (out / "spectrum.svg").exists()
-        assert (out / "run.json").exists()
+        assert_outputs(out, capsys.readouterr().out, ["spectrum.csv"])
+        assert "windows" not in json.loads((out / "run.json").read_text())
 
     def test_svg_is_deterministic(self, tmp_path):
         _, out1 = run_cli(tmp_path / "a", SWEEP_CFG, "sweep")
@@ -231,11 +245,14 @@ class TestOtherCommands:
         result = json.loads((out / "steady.json").read_text())
         assert result["a_im"] == pytest.approx(-0.05982053892161838, rel=1e-12)
         assert result["absorption"] == pytest.approx(0.05982053892161838, rel=1e-12)
-        assert "absorption" in capsys.readouterr().out
+        stdout = capsys.readouterr().out
+        assert "absorption" in stdout
+        assert_outputs(out, stdout, ["steady.json"])
 
-    def test_evolve_writes_the_trajectory(self, tmp_path):
+    def test_evolve_writes_the_trajectory(self, tmp_path, capsys):
         code, out = run_cli(tmp_path, EVOLVE_CFG, "evolve")
         assert code == 0
+        assert_outputs(out, capsys.readouterr().out, ["trajectory.csv"])
         rows = csv_rows(out / "trajectory.csv")
         assert rows[0] == "t,re_a,im_a,re_b,im_b,re_sigma_minus,im_sigma_minus"
         first = [float(v) for v in rows[1].split(",")]
@@ -246,12 +263,24 @@ class TestOtherCommands:
         assert last[0] == 40.0
         assert last[2] == pytest.approx(meta["evolve"]["final"]["a_im"], rel=1e-15)
 
-    def test_dephasing_scan_outputs_decreasing_heights(self, tmp_path):
+    def test_dephasing_scan_outputs_decreasing_heights(self, tmp_path, capsys):
         code, out = run_cli(tmp_path, DEPHASING_CFG, "dephasing-scan")
         assert code == 0
         rows = csv_rows(out / "dephasing.csv")[1:]
         heights = [float(r.split(",")[1]) for r in rows]
         assert heights[0] > heights[1] > heights[2]
+        assert_outputs(out, capsys.readouterr().out, ["dephasing.csv"])
+
+    @pytest.mark.parametrize(
+        "text, command, key",
+        [(EVOLVE_CFG, "evolve", "evolve"), (DEPHASING_CFG, "dephasing-scan", "dephasing")],
+    )
+    def test_json_only_skips_the_csv(self, tmp_path, capsys, monkeypatch, text, command, key):
+        monkeypatch.setattr(cli, "csv_text", unselected)
+        code, out = run_cli(tmp_path, text, command, "--format", "json")
+        assert code == 0
+        assert_outputs(out, capsys.readouterr().out, [])
+        assert key in json.loads((out / "run.json").read_text())
 
     def test_run_json_records_every_system_rate(self, tmp_path):
         text = STEADY_CFG.replace(
@@ -283,11 +312,14 @@ class TestOtherCommands:
         assert report["passed"] is True
         assert len(report["checks"]) >= 3
         assert all(c["passed"] for c in report["checks"])
-        assert "PASS" in capsys.readouterr().out
+        stdout = capsys.readouterr().out
+        assert "PASS" in stdout
+        assert_outputs(out, stdout, ["validation.json"])
 
-    def test_derive_coupling_reports_both_unit_systems(self, tmp_path):
+    def test_derive_coupling_reports_both_unit_systems(self, tmp_path, capsys):
         code, out = run_cli(tmp_path, DERIVE_CFG, "derive-coupling")
         assert code == 0
+        assert_outputs(out, capsys.readouterr().out, ["couplings.json"])
         result = json.loads((out / "couplings.json").read_text())
         assert result["lambda_rad_s"] == pytest.approx(1892117.882424536, rel=1e-12)
         assert result["eta"] == pytest.approx(0.06222317390287065, rel=1e-12)

@@ -206,6 +206,12 @@ class TestPhysicalParams:
         with pytest.raises(DomainError, match=name):
             device_params(**{name: 0.0})
 
+    @pytest.mark.parametrize("name", ["d", "V0", "nu", "hbar"])
+    def test_rejects_infinite(self, name):
+        # inf once gave lambda = inf (V0) or 0.0 (d, nu), and eta = inf (hbar)
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            device_params(**{name: math.inf})
+
     def test_constants_overridable(self):
         p = device_params(hbar=1.0, q_e=1.0, k_c=1.0)
         assert p.hbar == 1.0 and p.q_e == 1.0 and p.k_c == 1.0

@@ -18,11 +18,14 @@ from nit_sim import (
     Liouvillian,
     SolverError,
     SystemParams,
+    ZERO_STATE,
     build_hamiltonian,
     build_liouvillian,
     build_operators,
     evolve,
     expectation,
+    integrate,
+    relax_many,
     rwa_error_probe,
     steady_state,
     steady_state_dm,
@@ -483,6 +486,28 @@ class TestEvolve:
             evolve(vacuum_state(SPEC22), liou, t_end=0.0)
         with pytest.raises(DomainError):
             evolve(vacuum_state(SPEC22), liou, t_end=1.0, tol=0.5)
+
+
+_HORIZONS = {
+    "evolve": lambda h: evolve(
+        vacuum_state(SPEC22), build_liouvillian(weak_drive_system(), SPEC22), t_end=h
+    ),
+    "rwa_error_probe": lambda h: rwa_error_probe(
+        weak_drive_system(), SPEC22, omega_sum=50.0, t_end=h
+    ),
+    "integrate": lambda h: integrate(ZERO_STATE, matched_system(), t_end=h),
+    "relax_many": lambda h: relax_many([matched_system()], max_time=h),
+}
+
+
+@pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("entry", list(_HORIZONS))
+def test_horizon_must_be_finite_and_positive(entry, horizon):
+    """An infinite or NaN horizon once hung evolve and rwa_error_probe, and
+    ran the mean-field integrators into step underflow or ConvergenceError;
+    every entry point now names the value it rejects."""
+    with pytest.raises(DomainError, match=f"={horizon!r}|got {horizon!r}"):
+        _HORIZONS[entry](horizon)
 
 
 class TestCounterRotatingProbe:
