@@ -30,7 +30,7 @@ import numbers
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .model import SystemParams
 # the analytic and mean-field commands never pay for loading it.
 if TYPE_CHECKING:
     import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
 
 log = logging.getLogger(__name__)
 
@@ -276,28 +277,41 @@ def expectation(op: sp.spmatrix, rho) -> complex:
 class _Pieces:
     """What the steady state of L + shift*D needs that no shift changes (see
     ``_build_pieces``); unknowns are numbered in excitation order.  Each entry
-    of ``a`` and ``pre`` is the position in L.data of the value it takes."""
+    of ``a`` and ``pre_plus`` is the position in L.data of the value it takes.
+    The probe-free part ``pre`` is factored by coherence order m = n1 - n2:
+    m = 0 once per generator (``lu0``), m > 0 per shift (``pre_plus``), and
+    m < 0 is solved with the conjugated m > 0 factor."""
 
     order: np.ndarray  # vec(rho) index of the vacuum, then of each unknown
     a: sp.csr_matrix  # the generator on the unknowns
-    pre: sp.csc_matrix  # its probe-free part
     rhs: np.ndarray  # minus the vacuum column
     d: np.ndarray  # D's diagonal, -i(n1 - n2), in vec order
     diag: np.ndarray  # where L's diagonal sits in L.data, in vec order
+    zero: np.ndarray  # the m = 0 unknowns
+    plus: np.ndarray  # the m > 0 unknowns
+    minus: np.ndarray  # the transpose |j><i| of each m > 0 unknown |i><j|
+    lu0: spla.SuperLU | None  # natural-order LU of pre's m = 0 block, None if singular
+    pre_plus: sp.csc_matrix  # pre's m > 0 blocks, on the ``plus`` unknowns
 
 
 def _build_pieces(matrix: sp.csr_matrix, spec: HilbertSpec) -> _Pieces:
     """Split the generator for the vacuum-fixed solve in excitation order.
 
     |i><j| carries the excitation pair (n1, n2), n = qubit + n_a + n_b.
-    Apart from the probe, the generator conserves n1 - n2 and its jumps
-    lower n1 + n2, so in (n1 + n2, n1) order its probe-free part is block
-    triangular: LU in that natural order fills in only inside the diagonal
-    blocks.  rho[0, 0] = 1 replaces the vacuum row (redundant by trace
-    preservation) and unknown; the vacuum column becomes the source.
-    ``matrix`` is canonical csr with its diagonal stored in full.
+    Apart from the probe, the generator conserves the coherence order
+    m = n1 - n2 and its jumps lower n1 + n2, so its probe-free part ``pre``
+    is block diagonal in m, and in (n1 + n2, n1) order block triangular: LU
+    in that natural order fills in only inside the diagonal blocks.  D
+    vanishes at m = 0, so that block is factored here, once per generator.
+    L preserves hermiticity, so the vec-transpose |i><j| -> |j><i| maps
+    L + shift*D onto its conjugate and m onto -m: each m < 0 block is
+    solved with the conjugated factor of its m > 0 partner.  rho[0, 0] = 1
+    replaces the vacuum row (redundant by trace preservation) and unknown;
+    the vacuum column becomes the source.  ``matrix`` is canonical csr with
+    its diagonal stored in full.
     """
     import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
 
     q, na, nb = np.indices((2, spec.n_a, spec.n_b)).reshape(3, -1)
     n = q + na + nb
@@ -305,20 +319,53 @@ def _build_pieces(matrix: sp.csr_matrix, spec: HilbertSpec) -> _Pieces:
     order = np.lexsort((n1, n1 + n2))  # the vacuum alone has n1 + n2 = 0
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size) - 1
+    coherence = n1 - n2
 
     coo = matrix.tocoo()  # keeps the order of matrix.data
     at = np.arange(coo.nnz)
     row, col = rank[coo.row], rank[coo.col]
     body = (row >= 0) & (col >= 0)
-    keep = body & ((n1 - n2)[coo.row] == (n1 - n2)[coo.col])
     shape = (order.size - 1, order.size - 1)
     a = sp.csr_matrix((at[body], (row[body], col[body])), shape=shape)
-    pre = sp.csc_matrix((at[keep], (row[keep], col[keep])), shape=shape)
     rhs = np.zeros(shape[0], dtype=complex)
     source = (row >= 0) & (col < 0)
     rhs[row[source]] = -coo.data[source]
     diag = np.flatnonzero(coo.row == coo.col)
-    return _Pieces(order=order, a=a, pre=pre, rhs=rhs, d=-1j * (n1 - n2), diag=diag)
+
+    m = coherence[order[1:]]  # of each unknown
+    zero, plus = np.flatnonzero(m == 0), np.flatnonzero(m > 0)
+    k = order[1:][plus]  # vec index i + j*dim of each m > 0 unknown |i><j|
+    minus = rank[k % spec.dim * spec.dim + k // spec.dim]  # that of |j><i|
+    within = np.empty(shape[0], dtype=np.intp)  # index in the unknown's part
+    within[zero], within[plus] = np.arange(zero.size), np.arange(plus.size)
+    m_row = coherence[coo.row]
+    same = body & (m_row == coherence[coo.col])
+
+    def block(keep, size):  # csc of the positions of the kept entries
+        return sp.csc_matrix(
+            (at[keep], (within[row[keep]], within[col[keep]])), shape=(size, size)
+        )
+
+    try:  # no shift enters the m = 0 block, so L.data holds its values
+        lu0 = spla.splu(
+            _gather(block(same & (m_row == 0), zero.size), matrix.data),
+            permc_spec="NATURAL",
+        )
+    except RuntimeError:  # singular: the undriven generator has no unique fixed point
+        lu0 = None
+    return _Pieces(
+        order=order, a=a, rhs=rhs, d=-1j * coherence, diag=diag,
+        zero=zero, plus=plus, minus=minus, lu0=lu0,
+        pre_plus=block(same & (m_row > 0), plus.size),
+    )
+
+
+def _gather(pattern: sp.spmatrix, data: np.ndarray) -> sp.spmatrix:
+    """``pattern``, a csr or csc matrix of positions in ``data``, with the
+    values found there."""
+    return type(pattern)(
+        (data[pattern.data], pattern.indices, pattern.indptr), shape=pattern.shape
+    )
 
 
 def _shifted(liou: Liouvillian, shift: float) -> sp.csr_matrix:
@@ -330,6 +377,33 @@ def _shifted(liou: Liouvillian, shift: float) -> sp.csr_matrix:
     return m
 
 
+def _preconditioner(
+    p: _Pieces, m: sp.csr_matrix
+) -> Callable[[np.ndarray], np.ndarray] | None:
+    """v -> pre^-1 v for the probe-free part of ``m`` = L + shift*D, or None
+    when a block is singular: y0 = F0^-1 v0 with the generator's m = 0
+    factor, and [y+, conj(y-)] = F+^-1 [v+, conj(v-)] in one call to the
+    natural-order LU of the m > 0 blocks, v- taken at the transposes of the
+    m > 0 unknowns."""
+    import scipy.sparse.linalg as spla
+
+    if p.lu0 is None:
+        return None
+    try:
+        lu = spla.splu(_gather(p.pre_plus, m.data), permc_spec="NATURAL")
+    except RuntimeError:
+        return None
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        y = np.empty(v.shape, dtype=complex)
+        y[p.zero] = p.lu0.solve(v[p.zero])
+        w = lu.solve(np.column_stack((v[p.plus], v[p.minus].conj())))
+        y[p.plus], y[p.minus] = w[:, 0], w[:, 1].conj()
+        return y
+
+    return apply
+
+
 def _solve_structured(
     liou: Liouvillian, m: sp.csr_matrix
 ) -> tuple[np.ndarray | None, int, bool]:
@@ -338,30 +412,28 @@ def _solve_structured(
     (None, 0, False) when the preconditioner is singular.
 
     The LU of the probe-free part, taken in its natural (excitation) order,
-    preconditions BiCGSTAB on the driven system (see ``_build_pieces``).  Both
-    are gathered from m.data.  scipy's gmres would spin idle OpenBLAS threads
-    on the other cores (its Krylov update is a BLAS gemv); bicgstab uses only
+    preconditions BiCGSTAB on the driven system (see ``_build_pieces``).  It
+    is factored by coherence order m = n1 - n2: m = 0 once per generator,
+    m > 0 here, and m < 0 is solved with the conjugated m > 0 factor
+    (``_preconditioner``).  The system and the m > 0 blocks are gathered
+    from m.data.  scipy's gmres would spin idle OpenBLAS threads on the
+    other cores (its Krylov update is a BLAS gemv); bicgstab uses only
     level-1 operations, so it does not.  (numpy's vdot and norm, which it
     calls, stay on one thread up to 10000 elements, truncation (7, 7).)
     """
-    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
     p = liou.pieces
-    a = sp.csr_matrix((m.data[p.a.data], p.a.indices, p.a.indptr), shape=p.a.shape)
-    pre = sp.csc_matrix(
-        (m.data[p.pre.data], p.pre.indices, p.pre.indptr), shape=p.pre.shape
-    )
-    try:
-        lu = spla.splu(pre, permc_spec="NATURAL")
-    except RuntimeError:  # the undriven generator has no unique fixed point
+    apply = _preconditioner(p, m)
+    if apply is None:  # the undriven generator has no unique fixed point
         return None, 0, False
+    a = _gather(p.a, m.data)
     solves = 0
 
     def precondition(v):
         nonlocal solves
         solves += 1
-        return lu.solve(v)
+        return apply(v)
 
     y, status = spla.bicgstab(
         a, p.rhs, rtol=SOLVE_RTOL, atol=0.0, maxiter=SOLVE_MAXITER,

@@ -56,6 +56,36 @@ def lossy_mode_system(**overrides) -> SystemParams:
     return replace(base, **overrides) if overrides else base
 
 
+def vacuum_fixed(liou: Liouvillian, m: sp.csr_matrix):
+    """The generator ``m`` on the unknowns of the vacuum-fixed solve (``a``),
+    its probe-free part (``pre``: the entries that keep n1 - n2) and the
+    vec-transpose |i><j| -> |j><i| as a permutation ``t`` of the unknowns."""
+    p, dim = liou.pieces, liou.spec.dim
+    a = sp.csr_matrix((m.data[p.a.data], p.a.indices, p.a.indptr), shape=p.a.shape)
+    n = np.indices((2, liou.spec.n_a, liou.spec.n_b)).sum(axis=0).ravel()
+    k = p.order[1:]
+    coherence = (np.tile(n, dim) - np.repeat(n, dim))[k]
+    c = a.tocoo()
+    keep = coherence[c.row] == coherence[c.col]
+    pre = sp.csr_matrix((c.data[keep], (c.row[keep], c.col[keep])), shape=a.shape)
+    rank = np.empty_like(p.order)
+    rank[p.order] = np.arange(p.order.size) - 1
+    return a, pre, rank[k % dim * dim + k // dim]
+
+
+# (n, overrides) of the coherence-order symmetry checks
+COHERENCE_CASES = pytest.mark.parametrize(
+    "n, overrides",
+    [
+        (5, {}),
+        (6, dict(epsilon=0.3)),
+        (5, dict(delta_b_offset=0.1, delta_q_offset=-0.05)),
+        (5, dict(epsilon=0.01 + 0.005j)),
+    ],
+    ids=["weak", "eps0.3", "offsets", "complex-drive"],
+)
+
+
 class TestOperators:
     def test_annihilator_matrix_elements(self):
         ops = build_operators(SPEC44)
@@ -331,8 +361,12 @@ class TestSteadyState:
 
     @pytest.mark.parametrize(
         "overrides",
-        [dict(delta_b_offset=0.07, delta_q_offset=-0.05), dict(epsilon=0.3)],
-        ids=["offsets", "eps0.3"],
+        [
+            dict(delta_b_offset=0.07, delta_q_offset=-0.05),
+            dict(epsilon=0.3),
+            dict(epsilon=0.01 + 0.005j),
+        ],
+        ids=["offsets", "eps0.3", "complex-drive"],
     )
     def test_structured_route_matches_lu_reference(self, overrides):
         # per point (L assembled at each detuning) and per sweep (L(0) shifted)
@@ -361,6 +395,41 @@ class TestSteadyState:
         assert worst <= 1e-12
         assert worst_sweep <= 1e-12
         assert sweep_vs_point <= 1e-13
+
+    @COHERENCE_CASES
+    @pytest.mark.parametrize("delta", [0.0, 0.6])
+    def test_transpose_maps_the_system_onto_its_conjugate(self, n, overrides, delta):
+        # T L T = conj(L) because L preserves hermiticity, exactly (only the
+        # signs of zeros may differ); the preconditioner solves the m < 0
+        # blocks with the conjugated m > 0 factor
+        spec = HilbertSpec(n, n)
+        l0 = build_liouvillian(weak_drive_system(**overrides), spec)
+        at_delta = build_liouvillian(weak_drive_system(delta_p=delta, **overrides), spec)
+        for liou, m in ((l0, quantum._shifted(l0, delta)), (at_delta, at_delta.matrix)):
+            a, pre, t = vacuum_fixed(liou, m)
+            for op in (a, pre):
+                flipped, want = op[t][:, t], op.conj()
+                flipped.sort_indices()
+                want.sort_indices()
+                assert np.array_equal(flipped.indptr, want.indptr)
+                assert np.array_equal(flipped.indices, want.indices)
+                assert np.array_equal(flipped.data, want.data)
+
+    @COHERENCE_CASES
+    @pytest.mark.parametrize("delta", [0.0, 0.6])
+    def test_preconditioner_by_coherence_order_matches_the_whole_factor(
+        self, n, overrides, delta
+    ):
+        import scipy.sparse.linalg as spla
+
+        l0 = build_liouvillian(weak_drive_system(**overrides), HilbertSpec(n, n))
+        m = quantum._shifted(l0, delta)
+        _, pre, _ = vacuum_fixed(l0, m)
+        rng = np.random.default_rng(7)
+        v = rng.standard_normal(pre.shape[0]) + 1j * rng.standard_normal(pre.shape[0])
+        want = spla.splu(pre.tocsc(), permc_spec="NATURAL").solve(v)
+        got = quantum._preconditioner(l0.pieces, m)(v)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_strong_drive_falls_back_to_lu(self, caplog):
         liou = build_liouvillian(
@@ -461,6 +530,19 @@ class TestSteadyState:
 
 
 class TestEvolve:
+    def test_generator_with_a_singular_coherence_block_evolves(self):
+        # undamped qubit and mechanics: the m = 0 block has a kernel
+        liou = build_liouvillian(lossy_mode_system(), SPEC22)
+        assert liou.pieces.lu0 is None
+        start = np.zeros((SPEC22.dim, SPEC22.dim), dtype=complex)
+        one = idx(SPEC22, 0, 1, 0)
+        start[one, one] = 1.0
+        rho = evolve(DensityMatrix(start), liou, t_end=1.0)
+        ops = build_operators(SPEC22)
+        photons = expectation(ops.a.conj().T @ ops.a, rho).real
+        assert photons == pytest.approx(math.exp(-1.0), rel=1e-6)
+        assert rwa_error_probe(lossy_mode_system(), SPEC22, omega_sum=10.0) < 1e-12
+
     def test_long_horizon_meets_direct_solve(self):
         # slowest decay 0.108/kappa_a: t = 120 leaves ~7e-8, well under 1e-6
         sys = weak_drive_system()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import logging
 import math
+import sys
 import time
 from dataclasses import replace
 
@@ -174,6 +175,22 @@ class TestSweep:
             sweep(cfg)
         assert -1.5 in calls
         assert len(calls) <= workers + 1
+
+    def test_unmirrored_sweep_is_identical_across_thread_counts(self, monkeypatch):
+        """Every point is solved, each worker with the one m = 0 factor that
+        the shared generator carries."""
+        cfg = SweepConfig(weak_drive_system(delta_b_offset=0.07), -1.5, 1.5, 21,
+                          backend="quantum", quantum_spec=HilbertSpec(4, 4))
+        texts = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for threads in ("1", "8"):
+                monkeypatch.setenv("NIT_SIM_THREADS", threads)
+                texts.append(to_csv_text(sweep(cfg)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert texts[0] == texts[1]
 
     def test_quantum_points_share_all_but_the_detuning(self):
         spec = HilbertSpec(2, 2)
