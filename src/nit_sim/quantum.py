@@ -58,6 +58,7 @@ RESIDUAL_TOL = 1e-10
 SOLVE_RTOL = 1e-13
 SOLVE_MAXITER = 50  # BiCGSTAB iterations (two preconditioner solves each)
 DIM2_CAP = 250_000  # superoperator dimension dim^2
+_EVOLVE_TOL = 1e-9  # evolve: relative step tolerance
 _PROBE_TOL = 1e-9  # rwa_error_probe: relative step tolerance
 _PROBE_SAMPLES = 81  # evenly spaced times at which it compares the states
 
@@ -178,6 +179,9 @@ class Liouvillian:
     pieces: _Pieces = field(init=False, repr=False)
 
     def __post_init__(self):
+        n = self.spec.dim**2
+        if self.matrix.shape != (n, n):
+            raise DomainError(f"generator is {self.matrix.shape}, truncation needs {(n, n)}")
         m = self.matrix.tocsr().astype(complex)
         m.sum_duplicates()
         m.setdiag(m.diagonal())
@@ -240,10 +244,6 @@ class DensityMatrix:
         lo = float(np.linalg.eigvalsh(m)[0])
         if lo < EIG_FLOOR:
             raise DomainError(f"negative eigenvalue {lo:.3e} below {EIG_FLOOR:g}")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def vacuum_state(spec: HilbertSpec) -> DensityMatrix:
@@ -370,6 +370,8 @@ def _gather(pattern: sp.spmatrix, data: np.ndarray) -> sp.spmatrix:
 
 def _shifted(liou: Liouvillian, shift: float) -> sp.csr_matrix:
     """L + shift*D as one csr matrix with the sparsity of L."""
+    if not math.isfinite(shift):
+        raise DomainError(f"shift must be finite, got {shift!r}")
     if not shift:
         return liou.matrix
     m = liou.matrix.copy()
@@ -564,61 +566,44 @@ def mirror_dm(liou: Liouvillian, rho: DensityMatrix, shift: float) -> DensityMat
 
 
 def evolve(
-    rho0: DensityMatrix,
-    liou: Liouvillian,
-    t_end: float,
-    tol: float = 1e-9,
-    info: dict | None = None,
+    rho0: DensityMatrix, liou: Liouvillian, t_end: float, info: dict | None = None
 ) -> DensityMatrix:
-    """Propagate a state to ``t_end`` with adaptive stepping.
+    """Propagate a state to ``t_end`` in one adaptive RK45 integration
+    (relative tolerance 1e-9, absolute 1e-13).
 
-    The state is re-hermitized after every accepted step; the hermiticity
-    and trace drift are tracked (available through ``info``) and a trace
-    drift beyond 1e-9 is an error.  Local error per step is controlled by
-    ``tol`` (relative) with an absolute floor 1e-4*tol.
+    The final state is certified once: its hermiticity defect and trace
+    drift go to ``info``, a trace drift beyond 1e-9 is a SolverError and a
+    failed integration a StiffnessError.  Returns its hermitian part.
     """
-    from scipy.integrate import RK45
+    from scipy.integrate import solve_ivp
 
     if not 0 < t_end < math.inf:
         raise DomainError(f"t_end must be finite and > 0, got {t_end!r}")
-    if not 0 < tol <= 1e-2:
-        raise DomainError(f"tol must lie in (0, 1e-2], got {tol!r}")
+    dim = liou.spec.dim
+    if rho0.matrix.shape != (dim, dim):
+        raise DomainError(f"state is {rho0.matrix.shape}, generator acts on {(dim, dim)}")
 
     mat = liou.matrix
-    solver = RK45(
+    sol = solve_ivp(
         lambda t, y: mat @ y,
-        0.0,
+        (0.0, t_end),
         _vec(rho0.matrix),
-        t_end,
-        rtol=tol,
-        atol=tol * 1e-4,
+        method="RK45",
+        t_eval=(t_end,),  # without it every accepted state is kept
+        rtol=_EVOLVE_TOL,
+        atol=_EVOLVE_TOL * 1e-4,
     )
-    herm_drift = 0.0
-    trace_drift = 0.0
-    n_steps = 0
-    while solver.status == "running":
-        solver.step()
-        if solver.status == "failed":
-            raise StiffnessError("adaptive step failed during evolution")
-        n_steps += 1
-        s = _unvec(solver.y, liou.spec.dim)
-        herm_drift = max(herm_drift, float(np.max(np.abs(s - s.conj().T))))
-        trace_drift = max(trace_drift, abs(s.trace() - 1.0))
-        s = 0.5 * (s + s.conj().T)
-        solver.y = _vec(s)
-        solver.f = mat @ solver.y  # refresh the FSAL cache after projection
-
-    log.debug(
-        "evolve: %d steps, herm drift %.3e, trace drift %.3e",
-        n_steps, herm_drift, trace_drift,
-    )
+    if not sol.success:
+        raise StiffnessError(f"evolution failed: {sol.message}")
+    s = _unvec(sol.y[:, -1], dim)
+    herm_drift = float(np.max(np.abs(s - s.conj().T)))
+    trace_drift = float(abs(s.trace() - 1.0))
+    log.debug("evolve: herm drift %.3e, trace drift %.3e", herm_drift, trace_drift)
     if info is not None:
-        info.update(
-            n_steps=n_steps, herm_drift=herm_drift, trace_drift=trace_drift
-        )
-    if trace_drift > TRACE_DRIFT_MAX:
+        info.update(herm_drift=herm_drift, trace_drift=trace_drift)
+    if not trace_drift <= TRACE_DRIFT_MAX:  # also catches a non-finite state
         raise SolverError(f"trace drift {trace_drift:.3e} exceeds {TRACE_DRIFT_MAX:g}")
-    return DensityMatrix(_unvec(solver.y, liou.spec.dim))
+    return DensityMatrix(0.5 * (s + s.conj().T))
 
 
 def trace_distance(r1, r2) -> float:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -59,10 +60,13 @@ class SweepConfig:
     quantum_spec: HilbertSpec | None = None
 
     def __post_init__(self):
+        bounds = f"[{self.delta_min!r}, {self.delta_max!r}]"
+        if not (math.isfinite(self.delta_min) and math.isfinite(self.delta_max)):
+            raise DomainError(f"grid bounds must be finite, got {bounds}")
         if not self.delta_min < self.delta_max:
-            raise DomainError(
-                f"need delta_min < delta_max, got [{self.delta_min!r}, {self.delta_max!r}]"
-            )
+            raise DomainError(f"need delta_min < delta_max, got {bounds}")
+        if not isinstance(self.n_points, numbers.Integral):
+            raise DomainError(f"n_points must be an integer, got {self.n_points!r}")
         if self.n_points < 2:
             raise DomainError(f"n_points must be >= 2, got {self.n_points!r}")
         if self.backend not in BACKENDS:

@@ -86,6 +86,12 @@ class TestSweep:
             SweepConfig(matched_system(), -1.0, 1.0, 1)
         with pytest.raises(DomainError, match="backend"):
             SweepConfig(matched_system(), -1.0, 1.0, 11, backend="exact")
+        with pytest.raises(DomainError, match="integer"):
+            SweepConfig(matched_system(), -1.0, 1.0, 5.0)
+        for lo, hi in [(-math.inf, 1.0), (-1.0, math.inf), (math.nan, 1.0)]:
+            with pytest.raises(DomainError, match="finite"):
+                SweepConfig(matched_system(), lo, hi, 5)
+        assert SweepConfig(matched_system(), -1.0, 1.0, np.int64(5)).n_points == 5
 
     def test_arrays_are_frozen(self):
         spectrum = sweep(matched_sweep(61))
