@@ -39,7 +39,7 @@ from .config import (
     render_config,
 )
 from .errors import ConfigError, DomainError, NumericalError
-from .meanfield import ZERO_STATE, integrate
+from .meanfield import INTEGRATE_ABS_TOL, INTEGRATE_REL_TOL, ZERO_STATE, integrate
 from .model import PhysicalParams, derive_lambda, lamb_dicke
 from .quantum import build_operators
 from .spectra import (
@@ -159,9 +159,7 @@ def _cmd_sweep(cfg: RunConfig) -> tuple[dict, bool, dict]:
 
 def _cmd_evolve(cfg: RunConfig) -> tuple[dict, bool, dict]:
     ev = cfg.evolve
-    traj = integrate(
-        ZERO_STATE, cfg.system, ev.t_end, rel_tol=ev.rel_tol, abs_tol=ev.abs_tol
-    )
+    traj = integrate(ZERO_STATE, cfg.system, ev.t_end)
     final = traj[-1]
     print(
         f"evolved from the zero state to t = {final.t:g}/kappa_a "
@@ -171,8 +169,8 @@ def _cmd_evolve(cfg: RunConfig) -> tuple[dict, bool, dict]:
     payload = {
         "evolve": {
             "t_end": ev.t_end,
-            "rel_tol": ev.rel_tol,
-            "abs_tol": ev.abs_tol,
+            "rel_tol": INTEGRATE_REL_TOL,
+            "abs_tol": INTEGRATE_ABS_TOL,
             "n_steps": len(traj) - 1,
             "final": _amplitude_fields(final),
         }

@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import difflib
 import re
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable
 
 from .errors import ConfigError, DomainError
@@ -45,8 +45,6 @@ class EvolveSettings:
     """Mean-field trajectory integration settings."""
 
     t_end: float
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-12
 
 
 @dataclass(frozen=True)
@@ -150,7 +148,6 @@ class _Field:
 
 _POS = (lambda v: v > 0, "must be > 0")
 _NONNEG = (lambda v: v >= 0, "must be >= 0")
-_TOL = (lambda v: 0 < v <= 1e-2, "must be in (0, 1e-2]")
 _GE2 = (lambda v: v >= 2, "must be >= 2")
 
 _SCHEMA: dict[str, dict[str, _Field]] = {
@@ -172,10 +169,8 @@ _SCHEMA: dict[str, dict[str, _Field]] = {
         "gamma": _Field(_num, required=True, check=_NONNEG),
         "gamma_phi": _Field(_num, required=True, check=_NONNEG),
     },
-    # q_e, k_c and hbar are optional, with the constants' values as defaults
     "physical": {
-        f.name: _Field(_num, required=f.default is MISSING, default=f.default, check=_POS)
-        for f in fields(PhysicalParams)
+        f.name: _Field(_num, required=True, check=_POS) for f in fields(PhysicalParams)
     },
     "sweep": {
         "delta_min": _Field(_num, required=True),
@@ -187,8 +182,6 @@ _SCHEMA: dict[str, dict[str, _Field]] = {
     },
     "evolve": {
         "t_end": _Field(_num, required=True, check=_POS),
-        "rel_tol": _Field(_num, default=EvolveSettings.rel_tol, check=_TOL),
-        "abs_tol": _Field(_num, default=EvolveSettings.abs_tol, check=_TOL),
     },
     "dephasing": {
         "gamma_phi_values": _Field(

@@ -52,7 +52,12 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _UNDERFLOW_FRACTION = 1e-14  # of the integration horizon
 
-DEFAULT_MAX_TIME = 1e5
+# integrate's step-error tolerances: local error per step <= rel*|s| + abs
+INTEGRATE_REL_TOL = 1e-8
+INTEGRATE_ABS_TOL = 1e-12
+# relax_many: convergence tolerance on the residual, and time budget
+RELAX_TOL = 1e-8
+MAX_TIME = 1e5
 
 
 @dataclass(frozen=True)
@@ -85,13 +90,6 @@ def drift(sys: SystemParams) -> tuple[np.ndarray, np.ndarray]:
     )
     c = np.array([-1j * sys.epsilon, 0.0, 0.0], dtype=complex)
     return J, c
-
-
-def _check_tols(rel_tol, abs_tol) -> None:
-    for name, v in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
-        arr = np.asarray(v)
-        if not bool(((arr > 0.0) & (arr <= 1e-2)).all()):
-            raise DomainError(f"{name} must lie in (0, 1e-2], got {v!r}")
 
 
 def _bank_arrays(systems: Sequence[SystemParams]):
@@ -207,22 +205,16 @@ def _run_bank(
     return y, t, met
 
 
-def integrate(
-    s0: MeanFieldState,
-    sys: SystemParams,
-    t_end: float,
-    rel_tol: float = 1e-8,
-    abs_tol: float = 1e-12,
-) -> list[MeanFieldState]:
+def integrate(s0: MeanFieldState, sys: SystemParams, t_end: float) -> list[MeanFieldState]:
     """Integrate the mean-field flow from ``s0`` to ``t_end``.
 
     Returns the accepted-step trajectory (including the initial state);
     times are strictly increasing and the last entry sits exactly at
     ``t_end``.  Local error per step is bounded by
-    ``rel_tol*|s| + abs_tol`` componentwise (embedded 5(4) estimate).
-    Raises StiffnessError if the step size underflows 1e-14 of the span.
+    ``INTEGRATE_REL_TOL*|s| + INTEGRATE_ABS_TOL`` (1e-8 and 1e-12)
+    componentwise (embedded 5(4) estimate).  Raises StiffnessError if the
+    step size underflows 1e-14 of the span.
     """
-    _check_tols(rel_tol, abs_tol)
     if not s0.t < t_end < np.inf:
         raise DomainError(f"t_end={t_end!r} must be finite and exceed s0.t={s0.t!r}")
 
@@ -235,8 +227,8 @@ def integrate(
         s0.vector.reshape(3, 1),
         horizon=span,
         resid_target=-np.inf,
-        rel_tol=rel_tol,
-        abs_tol=abs_tol,
+        rel_tol=INTEGRATE_REL_TOL,
+        abs_tol=INTEGRATE_ABS_TOL,
         record=rec,
     )
     traj = [s0]
@@ -261,60 +253,50 @@ def slowest_decay_rate(sys: SystemParams) -> float:
     return float(np.min(-np.linalg.eigvals(J).real))
 
 
-def relax_to_steady_state(
-    sys: SystemParams,
-    tol: float = 1e-8,
-    max_time: float = DEFAULT_MAX_TIME,
-) -> MeanFieldState:
+def relax_to_steady_state(sys: SystemParams) -> MeanFieldState:
     """Integrate from the zero state until the flow stalls.
 
-    Convergence criterion: ||ds/dt||_2 <= tol * ||(eps, 0, 0)||_2, i.e. the
-    residual is measured against the drive that feeds the system.  The
-    integration tolerances are slaved to ``tol`` (see relax_many).  Raises
-    ConvergenceError (reporting the slowest decay rate) if the criterion is
-    not met within ``max_time``.
+    Convergence criterion: ||ds/dt||_2 <= RELAX_TOL * ||(eps, 0, 0)||_2,
+    i.e. the residual is measured against the drive that feeds the system.
+    The integration tolerances are slaved to RELAX_TOL (see relax_many).
+    Raises ConvergenceError (reporting the slowest decay rate) if the
+    criterion is not met within MAX_TIME.
     """
-    out = relax_many([sys], tol=tol, max_time=max_time)
+    out = relax_many([sys])
     a, b, sm, t = out[0, 0], out[1, 0], out[2, 0], out[3, 0].real
     return MeanFieldState(a, b, sm, t)
 
 
-def relax_many(
-    systems: Sequence[SystemParams],
-    tol: float = 1e-8,
-    max_time: float = DEFAULT_MAX_TIME,
-) -> np.ndarray:
+def relax_many(systems: Sequence[SystemParams]) -> np.ndarray:
     """Relax a batch of independent parameter points to their fixed points.
 
     Returns a (4, n) complex array: rows are the final <a>, <b>, <sigma_->
     and (real, as complex storage) the time each point needed.
 
-    The step-error tolerances are derived from the convergence tolerance
-    (rel_tol = tol/100, abs_tol per point = tol*|eps|/100): near the fixed
-    point the integrator's error floor is rel_tol*|s|, and the residual can
-    only be certified below tol*|eps| if that floor sits well under the
-    target.  The derived values depend on each point alone, never on the
-    batch, so batching cannot change results.  ConvergenceError and
-    StiffnessError name the delta_p of the first point that failed.
+    A point has converged once ||ds/dt||_2 <= RELAX_TOL*|eps| (RELAX_TOL =
+    1e-8); the time budget is MAX_TIME (1e5).  The step-error tolerances
+    are derived from RELAX_TOL (rel_tol = RELAX_TOL/100, abs_tol per point
+    = RELAX_TOL*|eps|/100): near the fixed point the integrator's error
+    floor is rel_tol*|s|, and the residual can only be certified below
+    RELAX_TOL*|eps| if that floor sits well under the target.  The derived
+    values depend on each point alone, never on the batch, so batching
+    cannot change results.  ConvergenceError and StiffnessError name the
+    delta_p of the first point that failed.
     """
-    if not 0.0 < tol <= 1e-2:
-        raise DomainError(f"tol must lie in (0, 1e-2], got {tol!r}")
-    if not 0.0 < max_time < np.inf:
-        raise DomainError(f"max_time must be finite and > 0, got {max_time!r}")
     for s in systems:
         _require_damped(s)
 
     rows, c0 = _bank_arrays(systems)
     n = c0.shape[0]
-    resid_target = tol * np.abs(c0)  # |c| = |eps|
-    rel_tol = min(1e-8, tol / 100.0)
+    resid_target = RELAX_TOL * np.abs(c0)  # |c| = |eps|
+    rel_tol = min(1e-8, RELAX_TOL / 100.0)
     abs_tol = np.clip(resid_target / 100.0, 1e-300, 1e-2)
     try:
         y, t, met = _run_bank(
             rows,
             c0,
             np.zeros((3, n), dtype=complex),
-            horizon=max_time,
+            horizon=MAX_TIME,
             resid_target=resid_target,
             rel_tol=rel_tol,
             abs_tol=abs_tol,
@@ -327,7 +309,7 @@ def relax_many(
         i = int(np.flatnonzero(~met)[0])
         rate = slowest_decay_rate(systems[i])
         raise ConvergenceError(
-            f"no steady state within max_time={max_time:g} at "
+            f"no steady state within MAX_TIME={MAX_TIME:g} at "
             f"delta_p={systems[i].delta_p!r}; slowest decay rate is "
             f"{rate:.3e} (expect convergence on the scale of its inverse)"
         )

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields, replace
 
 from .errors import DomainError
 
-# CODATA 2018 defaults
+# CODATA 2018 values
 _Q_E = 1.602176634e-19       # elementary charge, C
 _K_C = 8987551786.170797     # Coulomb constant 1/(4 pi eps0), N m^2 C^-2
 _HBAR = 1.0545718176461565e-34  # J s
@@ -91,7 +91,9 @@ class PhysicalParams:
     nu      : ion trap angular frequency, rad/s
     k_l     : laser wavenumber, 1/m
     Omega   : bare Rabi frequency of the ion drive, rad/s
-    q_e, k_c, hbar : constants, overridable for unit experiments
+
+    The elementary charge, Coulomb constant and hbar are the fixed CODATA
+    2018 values ``_Q_E``, ``_K_C`` and ``_HBAR``.
     """
 
     d: float
@@ -103,9 +105,6 @@ class PhysicalParams:
     nu: float
     k_l: float
     Omega: float
-    q_e: float = _Q_E
-    k_c: float = _K_C
-    hbar: float = _HBAR
 
     def __post_init__(self):
         for f in fields(self):
@@ -124,7 +123,7 @@ def derive_lambda(p: PhysicalParams) -> float:
 
         lambda = k_c * q_e * V0 * C0 / (d^3 * sqrt(m*M*nu*omega)).
     """
-    return p.k_c * p.q_e * p.V0 * p.C0 / (
+    return _K_C * _Q_E * p.V0 * p.C0 / (
         p.d ** 3 * math.sqrt(p.m * p.M * p.nu * p.omega)
     )
 
@@ -136,7 +135,7 @@ def lamb_dicke(p: PhysicalParams) -> float:
     Warns (does not abort) when eta >= 0.1, where the first-order sideband
     expansion becomes questionable.
     """
-    eta = p.k_l * math.sqrt(p.hbar / (2.0 * p.m * p.nu))
+    eta = p.k_l * math.sqrt(_HBAR / (2.0 * p.m * p.nu))
     if eta >= LAMB_DICKE_WARN:
         warnings.warn(
             f"Lamb-Dicke parameter eta={eta:.3g} >= {LAMB_DICKE_WARN}; "

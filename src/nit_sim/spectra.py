@@ -94,7 +94,6 @@ class Spectrum:
     absorption: np.ndarray
     backend: str
     params: SystemParams
-    quantum_spec: HilbertSpec | None = None
 
     @property
     def a(self) -> np.ndarray:
@@ -141,6 +140,8 @@ def quantum_expectations(systems, spec: HilbertSpec, operators) -> np.ndarray:
     A failure at any point cancels the points not yet started and is
     re-raised with its detuning attached.
     """
+    if not systems:
+        return np.empty((len(operators), 0), dtype=complex)
     base = replace(systems[0], delta_p=0.0)
     if any(replace(s, delta_p=0.0) != base for s in systems):
         raise DomainError("master-equation points must differ only in delta_p")
@@ -201,7 +202,6 @@ def sweep(cfg: SweepConfig) -> Spectrum:
         absorption=-a_vals.imag,
         backend=cfg.backend,
         params=normalize(cfg.base),
-        quantum_spec=cfg.quantum_spec,
     )
     for arr in (out.detunings, out.a_re, out.a_im, out.absorption):
         arr.flags.writeable = False

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import re
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from nit_sim import ConfigError, HilbertSpec, SweepConfig
@@ -90,9 +94,6 @@ omega = 62831853.071795866
 nu = 62831853.071795866
 k_l = 29292239.194310427
 Omega = 31415926.535897933
-q_e = 1.6e-19
-k_c = 8987551786.170797
-hbar = 1.0545718176461565e-34
 """
 
 EVOLVE_GOLDEN = """\
@@ -116,8 +117,6 @@ gamma_phi = 0.001
 
 [evolve]
 t_end = 40.0
-rel_tol = 1e-08
-abs_tol = 1e-12
 """
 
 
@@ -184,10 +183,11 @@ class TestParsing:
         gamma_phi = 1e-3
         [evolve]
         t_end = 40
-        rel_tol = 1e-9
         """
-        cfg = parse_config(text)
-        assert cfg.evolve == EvolveSettings(t_end=40.0, rel_tol=1e-9, abs_tol=1e-12)
+        assert parse_config(text).evolve == EvolveSettings(t_end=40.0)
+        # the step tolerances are fixed; setting one is an unknown key
+        with pytest.raises(ConfigError, match=r"^line 14: unknown key 'rel_tol'"):
+            parse_config(text + "rel_tol = 1e-9\n")
 
     def test_dephasing_list(self):
         text = SWEEP_TEXT.replace("command = sweep", "command = dephasing-scan")
@@ -429,6 +429,31 @@ class TestDiagnostics:
         assert f"[system]: validate needs {key}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "block, key",
+        [("physical", "q_e"), ("physical", "k_c"), ("physical", "hbar"),
+         ("evolve", "rel_tol"), ("evolve", "abs_tol")],
+    )
+    def test_fixed_constants_are_unknown_keys(self, tmp_path, capsys, block, key):
+        """The CODATA constants and the trajectory's step tolerances are
+        fixed; a config that sets one is refused like any other typo."""
+        if block == "physical":
+            base = SI_TEXT
+        else:
+            base = as_command("evolve", "[evolve]\nt_end = 40\n")
+        text = base + f"{key} = 1e-9\n"
+        msg = f"line {len(text.splitlines())}: unknown key '{key}' in [{block}]"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value).startswith(msg)
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        out = tmp_path / "out"
+        command = parse_config(base).command
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert msg in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("text", [SWEEP_TEXT, SI_TEXT])
@@ -444,10 +469,10 @@ class TestRoundTrip:
     @pytest.mark.parametrize(
         "text, golden",
         [
-            (SI_TEXT + "q_e = 1.6e-19\n", SI_GOLDEN),
+            (SI_TEXT, SI_GOLDEN),
             (as_command("evolve", "[evolve]\nt_end = 40\n"), EVOLVE_GOLDEN),
         ],
-        ids=["si-with-q_e", "evolve-default-tolerances"],
+        ids=["si", "evolve"],
     )
     def test_canonical_text_is_pinned(self, text, golden):
         assert render_config(parse_config(text)) == golden
@@ -481,3 +506,27 @@ class TestRoundTrip:
         again = parse_config(render_config(cfg))
         assert again == cfg
         assert again.sweep.quantum_spec == cfg.sweep.quantum_spec
+
+
+class TestReadmeExamples:
+    """The README's ```ini blocks are configs this parser takes."""
+
+    @staticmethod
+    def ini_blocks() -> list[str]:
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        readme = readme.read_text(encoding="utf-8")
+        blocks = re.findall(r"^( *)```ini\n(.*?)^\1```$", readme, flags=re.M | re.S)
+        assert len(blocks) == 2
+        return [textwrap.dedent(body) for _, body in blocks]
+
+    def test_sweep_config_round_trips(self):
+        cfg = parse_config(self.ini_blocks()[0])
+        assert cfg.command == "sweep"
+        assert parse_config(render_config(cfg)) == cfg
+
+    def test_dephasing_fragment_joins_the_system_block(self):
+        sweep_text, fragment = self.ini_blocks()
+        system = "[system]" + sweep_text.split("[system]", 1)[1].split("[sweep]", 1)[0]
+        cfg = parse_config("[run]\ncommand = dephasing-scan\n\n" + system + fragment)
+        assert len(cfg.dephasing) == 13
+        assert cfg.system == parse_config(sweep_text).system

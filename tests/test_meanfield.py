@@ -15,6 +15,7 @@ from nit_sim import (
     StiffnessError,
     ZERO_STATE,
     integrate,
+    meanfield,
     relax_many,
     relax_to_steady_state,
     steady_state,
@@ -109,10 +110,6 @@ class TestIntegrate:
         sys = matched_system()
         with pytest.raises(DomainError):
             integrate(ZERO_STATE, sys, t_end=0.0)
-        with pytest.raises(DomainError):
-            integrate(ZERO_STATE, sys, t_end=1.0, rel_tol=0.5)
-        with pytest.raises(DomainError):
-            integrate(ZERO_STATE, sys, t_end=1.0, abs_tol=0.0)
 
 
 class TestRelax:
@@ -124,14 +121,6 @@ class TestRelax:
         assert out.b == pytest.approx(ss.b, rel=1e-7)
         assert out.sigma_minus == pytest.approx(ss.sigma_minus, rel=1e-7)
         assert out.t > 0.0
-
-    def test_tighter_tolerance_lands_closer(self):
-        sys = matched_system(delta_p=0.8)
-        ss = steady_state(sys).a
-        loose = relax_to_steady_state(sys, tol=1e-6).a
-        tight = relax_to_steady_state(sys, tol=1e-10).a
-        assert abs(tight - ss) <= abs(loose - ss) + 1e-14
-        assert abs(tight - ss) / abs(ss) < 1e-8
 
     def test_batch_equals_singles_bitwise(self):
         systems = [matched_system(delta_p=d) for d in (-1.5, -0.5, 0.0, 0.5, 1.5)]
@@ -146,9 +135,10 @@ class TestRelax:
         rev = relax_many(systems[::-1])
         assert np.array_equal(fwd, rev[:, ::-1])
 
-    def test_time_budget_exhaustion_raises(self):
+    def test_time_budget_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(meanfield, "MAX_TIME", 1.0)
         with pytest.raises(ConvergenceError, match="slowest decay rate"):
-            relax_to_steady_state(matched_system(), max_time=1.0)
+            relax_to_steady_state(matched_system())
 
     def test_step_underflow_names_its_detuning(self):
         with pytest.raises(StiffnessError, match=r"at delta_p=1e\+16: step size"):
@@ -159,9 +149,3 @@ class TestRelax:
             relax_to_steady_state(matched_system(gamma=0.0, gamma_phi=0.0))
         with pytest.raises(DomainError, match="kappa_b"):
             relax_to_steady_state(matched_system(kappa_b=0.0))
-
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(DomainError):
-            relax_to_steady_state(matched_system(), tol=0.5)
-        with pytest.raises(DomainError):
-            relax_to_steady_state(matched_system(), tol=0.0)

@@ -18,7 +18,7 @@ from nit_sim import (
     lamb_dicke,
     normalize,
 )
-from nit_sim.model import LAMB_DICKE_WARN
+from nit_sim.model import _HBAR, _K_C, _Q_E, LAMB_DICKE_WARN
 
 from conftest import matched_system
 
@@ -135,10 +135,10 @@ class TestDeriveLambda:
         # independent route: bilinear Coulomb coefficient times the two
         # zero-point amplitudes, divided by hbar
         p = device_params()
-        chi = 2.0 * p.k_c * p.q_e * p.V0 * p.C0 / p.d**3
-        x_a = math.sqrt(p.hbar / (2.0 * p.M * p.omega))
-        x_b = math.sqrt(p.hbar / (2.0 * p.m * p.nu))
-        assert derive_lambda(p) == pytest.approx(chi * x_a * x_b / p.hbar, rel=1e-12)
+        chi = 2.0 * _K_C * _Q_E * p.V0 * p.C0 / p.d**3
+        x_a = math.sqrt(_HBAR / (2.0 * p.M * p.omega))
+        x_b = math.sqrt(_HBAR / (2.0 * p.m * p.nu))
+        assert derive_lambda(p) == pytest.approx(chi * x_a * x_b / _HBAR, rel=1e-12)
 
     def test_reference_device_rate(self):
         lam = derive_lambda(device_params())
@@ -169,7 +169,7 @@ class TestLambDicke:
     def test_recoil_to_trap_ratio_identity(self):
         p = device_params()
         eta = lamb_dicke(p)
-        recoil = p.hbar * p.k_l**2 / (2.0 * p.m)
+        recoil = _HBAR * p.k_l**2 / (2.0 * p.m)
         assert eta**2 == pytest.approx(recoil / p.nu, rel=1e-12)
 
     def test_reference_device_value(self):
@@ -190,7 +190,7 @@ class TestLambDicke:
 
     def test_warns_outside_lamb_dicke_regime(self):
         p = device_params()
-        k_marginal = LAMB_DICKE_WARN / math.sqrt(p.hbar / (2.0 * p.m * p.nu))
+        k_marginal = LAMB_DICKE_WARN / math.sqrt(_HBAR / (2.0 * p.m * p.nu))
         with pytest.warns(UserWarning, match="Lamb-Dicke"):
             lamb_dicke(device_params(k_l=k_marginal))
 
@@ -206,12 +206,8 @@ class TestPhysicalParams:
         with pytest.raises(DomainError, match=name):
             device_params(**{name: 0.0})
 
-    @pytest.mark.parametrize("name", ["d", "V0", "nu", "hbar"])
+    @pytest.mark.parametrize("name", ["d", "V0", "nu"])
     def test_rejects_infinite(self, name):
-        # inf once gave lambda = inf (V0) or 0.0 (d, nu), and eta = inf (hbar)
+        # inf once gave lambda = inf (V0) or 0.0 (d, nu)
         with pytest.raises(DomainError, match=f"{name} must be finite"):
             device_params(**{name: math.inf})
-
-    def test_constants_overridable(self):
-        p = device_params(hbar=1.0, q_e=1.0, k_c=1.0)
-        assert p.hbar == 1.0 and p.q_e == 1.0 and p.k_c == 1.0

@@ -25,7 +25,6 @@ from nit_sim import (
     evolve,
     expectation,
     integrate,
-    relax_many,
     rwa_error_probe,
     steady_state,
     steady_state_dm,
@@ -627,39 +626,30 @@ _HORIZONS = {
     "evolve": lambda h: evolve(
         vacuum_state(SPEC22), build_liouvillian(weak_drive_system(), SPEC22), t_end=h
     ),
-    "rwa_error_probe": lambda h: rwa_error_probe(
-        weak_drive_system(), SPEC22, omega_sum=50.0, t_end=h
-    ),
     "integrate": lambda h: integrate(ZERO_STATE, matched_system(), t_end=h),
-    "relax_many": lambda h: relax_many([matched_system()], max_time=h),
 }
 
 
 @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf])
 @pytest.mark.parametrize("entry", list(_HORIZONS))
 def test_horizon_must_be_finite_and_positive(entry, horizon):
-    """An infinite or NaN horizon once hung evolve and rwa_error_probe, and
-    ran the mean-field integrators into step underflow or ConvergenceError;
-    every entry point now names the value it rejects."""
+    """An infinite or NaN horizon once hung evolve, and ran the mean-field
+    integrator into step underflow; both entry points name the value they
+    reject."""
     with pytest.raises(DomainError, match=f"={horizon!r}|got {horizon!r}"):
         _HORIZONS[entry](horizon)
 
 
 class TestCounterRotatingProbe:
     def test_silent_when_decoupled(self):
-        err = rwa_error_probe(
-            decoupled_system(epsilon=0.01), SPEC22, omega_sum=50.0, t_end=1.0
-        )
+        err = rwa_error_probe(decoupled_system(epsilon=0.01), SPEC22, omega_sum=50.0)
         assert err < 1e-12
 
     def test_error_shrinks_inversely_with_the_carrier(self):
         # first-order averaging: the deviation plateaus within one carrier
         # period and its size falls off as 1/omega_sum
         sys = weak_drive_system()
-        errs = [
-            rwa_error_probe(sys, SPEC22, omega_sum=w, t_end=1.0)
-            for w in (25.0, 100.0, 400.0)
-        ]
+        errs = [rwa_error_probe(sys, SPEC22, omega_sum=w) for w in (25.0, 100.0, 400.0)]
         assert errs[0] > errs[1] > errs[2] > 0.0
         assert errs[0] > 8.0 * errs[2]  # asymptotically 16x
 
