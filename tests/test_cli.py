@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import nit_sim
-from nit_sim import cli, config
+from nit_sim import cli, config, meanfield
 from nit_sim.cli import main
 from nit_sim.config import parse_config
 
@@ -263,6 +263,18 @@ class TestOtherCommands:
         assert last[0] == 40.0
         assert last[2] == pytest.approx(meta["evolve"]["final"]["a_im"], rel=1e-15)
 
+    def test_evolve_run_json_states_its_step_tolerances(self, tmp_path):
+        """The step tolerances are fixed, yet run.json still reports them,
+        and its config_text runs the same trajectory again."""
+        code, out = run_cli(tmp_path, EVOLVE_CFG, "evolve")
+        assert code == 0
+        meta = json.loads((out / "run.json").read_text())
+        assert meta["evolve"]["rel_tol"] == meanfield.INTEGRATE_REL_TOL == 1e-8
+        assert meta["evolve"]["abs_tol"] == meanfield.INTEGRATE_ABS_TOL == 1e-12
+        again = parse_config(meta["config_text"])
+        assert again.evolve == parse_config(EVOLVE_CFG).evolve
+        assert again.system == parse_config(EVOLVE_CFG).system
+
     def test_dephasing_scan_outputs_decreasing_heights(self, tmp_path, capsys):
         code, out = run_cli(tmp_path, DEPHASING_CFG, "dephasing-scan")
         assert code == 0
@@ -327,6 +339,16 @@ class TestOtherCommands:
             1892117.882424536 / 6283185.307179586, rel=1e-12
         )
         assert result["g_rad_s"] == pytest.approx(result["eta"] * 31415926.535897932)
+
+    def test_derive_coupling_run_json_reproduces_the_device(self, tmp_path):
+        """config_text holds only the keys [physical] still takes, so a new
+        run.json parses back to the same device."""
+        code, out = run_cli(tmp_path, DERIVE_CFG, "derive-coupling")
+        assert code == 0
+        text = json.loads((out / "run.json").read_text())["config_text"]
+        assert not re.search(r"^(q_e|k_c|hbar) =", text, flags=re.M)
+        again = parse_config(text)
+        assert again.physical == parse_config(DERIVE_CFG).physical
 
     def test_derive_coupling_warns_once_about_lamb_dicke(self, tmp_path):
         marginal = DERIVE_CFG.replace("k_l = 29292239.194310427", "k_l = 1e8")

@@ -214,6 +214,15 @@ class TestSweep:
         a = stationary_a([], backend, HilbertSpec(2, 2))
         assert a.shape == (0,) and a.dtype == complex
 
+    def test_no_points_build_no_generator(self, monkeypatch):
+        def must_not_build(*args):
+            raise AssertionError("generator built for an empty point list")
+
+        monkeypatch.setattr(spectra, "build_liouvillian", must_not_build)
+        ops = build_operators(HilbertSpec(2, 2))
+        vals = quantum_expectations([], HilbertSpec(2, 2), [ops.a, ops.b])
+        assert vals.shape == (2, 0) and vals.dtype == complex
+
     def test_backends_look_up_their_solvers_at_call_time(self, monkeypatch):
         """Per-layer profilers wrap these module-level names of
         nit_sim.spectra; a name bound anywhere else would bypass them."""
