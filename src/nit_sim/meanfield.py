@@ -289,7 +289,7 @@ def relax_many(systems: Sequence[SystemParams]) -> np.ndarray:
     rows, c0 = _bank_arrays(systems)
     n = c0.shape[0]
     resid_target = RELAX_TOL * np.abs(c0)  # |c| = |eps|
-    rel_tol = min(1e-8, RELAX_TOL / 100.0)
+    rel_tol = RELAX_TOL / 100.0
     abs_tol = np.clip(resid_target / 100.0, 1e-300, 1e-2)
     try:
         y, t, met = _run_bank(

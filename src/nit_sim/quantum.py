@@ -277,8 +277,8 @@ def expectation(op: sp.spmatrix, rho) -> complex:
 @dataclass(frozen=True, eq=False)
 class _Pieces:
     """What the steady state of L + shift*D needs that no shift changes (see
-    ``_build_pieces``); unknowns are numbered in excitation order.  Each entry
-    of ``a`` and ``pre_plus`` is the position in L.data of the value it takes.
+    ``_build_pieces``); unknowns come in coherence blocks.  Each entry of
+    ``a`` and ``pre_plus`` is the position in L.data of the value it takes.
     The probe-free part ``pre`` is factored by coherence order m = n1 - n2:
     m = 0 once per generator (``lu0``), m > 0 per shift (``pre_plus``), and
     m < 0 is solved with the conjugated m > 0 factor."""
@@ -288,28 +288,28 @@ class _Pieces:
     rhs: np.ndarray  # minus the vacuum column
     d: np.ndarray  # D's diagonal, -i(n1 - n2), in vec order
     diag: np.ndarray  # where L's diagonal sits in L.data, in vec order
-    zero: np.ndarray  # the m = 0 unknowns
-    plus: np.ndarray  # the m > 0 unknowns
-    minus: np.ndarray  # the transpose |j><i| of each m > 0 unknown |i><j|
+    k0: int  # the m = 0 unknowns are 0..k0-1
+    k1: int  # the m > 0 unknowns are k0..k1-1, their transposes k1..
     lu0: spla.SuperLU | None  # natural-order LU of pre's m = 0 block, None if singular
-    pre_plus: sp.csc_matrix  # pre's m > 0 blocks, on the ``plus`` unknowns
+    pre_plus: sp.csc_matrix  # pre's m > 0 blocks, on the m > 0 unknowns
 
 
 def _build_pieces(matrix: sp.csr_matrix, spec: HilbertSpec) -> _Pieces:
-    """Split the generator for the vacuum-fixed solve in excitation order.
+    """Split the generator for the vacuum-fixed solve in coherence blocks.
 
     |i><j| carries the excitation pair (n1, n2), n = qubit + n_a + n_b.
     Apart from the probe, the generator conserves the coherence order
     m = n1 - n2 and its jumps lower n1 + n2, so its probe-free part ``pre``
     is block diagonal in m, and in (n1 + n2, n1) order block triangular: LU
-    in that natural order fills in only inside the diagonal blocks.  D
-    vanishes at m = 0, so that block is factored here, once per generator.
-    L preserves hermiticity, so the vec-transpose |i><j| -> |j><i| maps
-    L + shift*D onto its conjugate and m onto -m: each m < 0 block is
-    solved with the conjugated factor of its m > 0 partner.  rho[0, 0] = 1
-    replaces the vacuum row (redundant by trace preservation) and unknown;
-    the vacuum column becomes the source.  ``matrix`` is canonical csr with
-    its diagonal stored in full.
+    in that natural order fills in only inside the diagonal blocks.  So the
+    unknowns run m = 0, then m > 0, each in (n1 + n2, n1) order, then the
+    vec-transpose |j><i| of each m > 0 unknown |i><j|.  D vanishes at m = 0,
+    so that block is factored here, once per generator.  L preserves
+    hermiticity, so the vec-transpose maps L + shift*D onto its conjugate
+    and m onto -m: the m < 0 run is solved with the conjugated m > 0 factor.
+    rho[0, 0] = 1 replaces the vacuum row (redundant by trace preservation)
+    and unknown; the vacuum column becomes the source.  ``matrix`` is
+    canonical csr with its diagonal stored in full.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
@@ -317,10 +317,14 @@ def _build_pieces(matrix: sp.csr_matrix, spec: HilbertSpec) -> _Pieces:
     q, na, nb = np.indices((2, spec.n_a, spec.n_b)).reshape(3, -1)
     n = q + na + nb
     n1, n2 = np.tile(n, spec.dim), np.repeat(n, spec.dim)
-    order = np.lexsort((n1, n1 + n2))  # the vacuum alone has n1 + n2 = 0
+    coherence = n1 - n2
+    exc = np.lexsort((n1, n1 + n2))[1:]  # the vacuum alone has n1 + n2 = 0
+    zero, plus = exc[coherence[exc] == 0], exc[coherence[exc] > 0]
+    minus = plus % spec.dim * spec.dim + plus // spec.dim  # |i><j| -> |j><i|
+    order = np.concatenate(([0], zero, plus, minus))
+    k0, k1 = zero.size, zero.size + plus.size
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size) - 1
-    coherence = n1 - n2
 
     coo = matrix.tocoo()  # keeps the order of matrix.data
     at = np.arange(coo.nnz)
@@ -332,32 +336,21 @@ def _build_pieces(matrix: sp.csr_matrix, spec: HilbertSpec) -> _Pieces:
     source = (row >= 0) & (col < 0)
     rhs[row[source]] = -coo.data[source]
     diag = np.flatnonzero(coo.row == coo.col)
+    same = body & (coherence[coo.row] == coherence[coo.col])
 
-    m = coherence[order[1:]]  # of each unknown
-    zero, plus = np.flatnonzero(m == 0), np.flatnonzero(m > 0)
-    k = order[1:][plus]  # vec index i + j*dim of each m > 0 unknown |i><j|
-    minus = rank[k % spec.dim * spec.dim + k // spec.dim]  # that of |j><i|
-    within = np.empty(shape[0], dtype=np.intp)  # index in the unknown's part
-    within[zero], within[plus] = np.arange(zero.size), np.arange(plus.size)
-    m_row = coherence[coo.row]
-    same = body & (m_row == coherence[coo.col])
-
-    def block(keep, size):  # csc of the positions of the kept entries
+    def block(lo, hi):  # csc of the positions of pre's entries in rows lo..hi-1
+        keep = same & (row >= lo) & (row < hi)
         return sp.csc_matrix(
-            (at[keep], (within[row[keep]], within[col[keep]])), shape=(size, size)
+            (at[keep], (row[keep] - lo, col[keep] - lo)), shape=(hi - lo, hi - lo)
         )
 
     try:  # no shift enters the m = 0 block, so L.data holds its values
-        lu0 = spla.splu(
-            _gather(block(same & (m_row == 0), zero.size), matrix.data),
-            permc_spec="NATURAL",
-        )
+        lu0 = spla.splu(_gather(block(0, k0), matrix.data), permc_spec="NATURAL")
     except RuntimeError:  # singular: the undriven generator has no unique fixed point
         lu0 = None
     return _Pieces(
         order=order, a=a, rhs=rhs, d=-1j * coherence, diag=diag,
-        zero=zero, plus=plus, minus=minus, lu0=lu0,
-        pre_plus=block(same & (m_row > 0), plus.size),
+        k0=k0, k1=k1, lu0=lu0, pre_plus=block(k0, k1),
     )
 
 
@@ -384,10 +377,10 @@ def _preconditioner(
     p: _Pieces, m: sp.csr_matrix
 ) -> Callable[[np.ndarray], np.ndarray] | None:
     """v -> pre^-1 v for the probe-free part of ``m`` = L + shift*D, or None
-    when a block is singular: y0 = F0^-1 v0 with the generator's m = 0
-    factor, and [y+, conj(y-)] = F+^-1 [v+, conj(v-)] in one call to the
-    natural-order LU of the m > 0 blocks, v- taken at the transposes of the
-    m > 0 unknowns."""
+    when a block is singular.  With v = [v0, v+, v-] split at ``k0`` and
+    ``k1``: y0 = F0^-1 v0 with the generator's m = 0 factor, and
+    [y+, conj(y-)] = F+^-1 [v+, conj(v-)] in one call to the natural-order
+    LU of the m > 0 blocks."""
     import scipy.sparse.linalg as spla
 
     if p.lu0 is None:
@@ -398,11 +391,8 @@ def _preconditioner(
         return None
 
     def apply(v: np.ndarray) -> np.ndarray:
-        y = np.empty(v.shape, dtype=complex)
-        y[p.zero] = p.lu0.solve(v[p.zero])
-        w = lu.solve(np.column_stack((v[p.plus], v[p.minus].conj())))
-        y[p.plus], y[p.minus] = w[:, 0], w[:, 1].conj()
-        return y
+        w = lu.solve(np.column_stack((v[p.k0:p.k1], v[p.k1:].conj())))
+        return np.concatenate((p.lu0.solve(v[:p.k0]), w[:, 0], w[:, 1].conj()))
 
     return apply
 
@@ -414,7 +404,7 @@ def _solve_structured(
     (trace-normalized vec(rho), iterations begun, converged), or
     (None, 0, False) when the preconditioner is singular.
 
-    The LU of the probe-free part, taken in its natural (excitation) order,
+    The LU of the probe-free part, taken in its natural (block) order,
     preconditions BiCGSTAB on the driven system (see ``_build_pieces``).  It
     is factored by coherence order m = n1 - n2: m = 0 once per generator,
     m > 0 here, and m < 0 is solved with the conjugated m > 0 factor
@@ -505,7 +495,7 @@ def steady_state_dm(
     functional picks only n1 == n2 entries, where D vanishes, so L + shift*D
     preserves the trace as L does.
 
-    Runs BiCGSTAB on the excitation-ordered system with the vacuum population
+    Runs BiCGSTAB on the coherence-blocked system with the vacuum population
     fixed, preconditioned by the LU of its probe-free part (see
     ``_solve_structured``).  If that factor is singular, BiCGSTAB does not
     converge, or the residual ||(L + shift*D) vec(rho)||_2 exceeds 1e-10 *
@@ -631,8 +621,8 @@ def rwa_error_probe(sys: SystemParams, spec: HilbertSpec, omega_sum: float) -> f
     """
     from scipy.integrate import solve_ivp
 
-    if not omega_sum > 0:
-        raise DomainError(f"omega_sum must be > 0, got {omega_sum!r}")
+    if not 0 < omega_sum < math.inf:
+        raise DomainError(f"omega_sum must be finite and > 0, got {omega_sum!r}")
     liou = build_liouvillian(sys, spec)
     ops = build_operators(spec)
     ident = ops.identity

@@ -395,6 +395,26 @@ class TestSteadyState:
         assert worst_sweep <= 1e-12
         assert sweep_vs_point <= 1e-13
 
+    @pytest.mark.parametrize("n_a, n_b", [(2, 2), (3, 2), (5, 5)])
+    def test_unknowns_come_in_coherence_blocks(self, n_a, n_b):
+        # the preconditioner slices the unknowns at k0 and k1: the m = 0 run,
+        # the m > 0 run, each in (n1 + n2, n1) order, then the transposes of
+        # the m > 0 run in the same sequence
+        spec = HilbertSpec(n_a, n_b)
+        p, dim = build_liouvillian(weak_drive_system(), spec).pieces, spec.dim
+        n = np.indices((2, n_a, n_b)).sum(axis=0).ravel()
+        n1, n2 = n[p.order % dim], n[p.order // dim]
+        assert np.array_equal(np.sort(p.order), np.arange(dim**2))
+        assert p.order[0] == idx(spec, 0, 0, 0) * (dim + 1)  # vec index of the vacuum
+        zero, plus = slice(1, p.k0 + 1), slice(p.k0 + 1, p.k1 + 1)
+        assert (n1[zero] == n2[zero]).all() and p.k0 > 0
+        assert (n1[plus] > n2[plus]).all() and p.k1 > p.k0
+        for run in (zero, plus):
+            key = list(zip(n1[run] + n2[run], n1[run]))
+            assert key == sorted(key)
+        k = p.order[plus]
+        assert np.array_equal(p.order[p.k1 + 1:], k % dim * dim + k // dim)
+
     @COHERENCE_CASES
     @pytest.mark.parametrize("delta", [0.0, 0.6])
     def test_transpose_maps_the_system_onto_its_conjugate(self, n, overrides, delta):
@@ -653,9 +673,10 @@ class TestCounterRotatingProbe:
         assert errs[0] > errs[1] > errs[2] > 0.0
         assert errs[0] > 8.0 * errs[2]  # asymptotically 16x
 
-    def test_rejects_nonpositive_carrier(self):
-        with pytest.raises(DomainError):
-            rwa_error_probe(weak_drive_system(), SPEC22, omega_sum=0.0)
+    @pytest.mark.parametrize("omega_sum", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_nonpositive_carrier(self, omega_sum):
+        with pytest.raises(DomainError, match="omega_sum"):
+            rwa_error_probe(weak_drive_system(), SPEC22, omega_sum=omega_sum)
 
 
 class TestDensityMatrix:
