@@ -28,8 +28,8 @@ import logging
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -166,18 +166,17 @@ def build_hamiltonian(sys: SystemParams, spec: HilbertSpec) -> sp.csr_matrix:
 
 @dataclass(frozen=True, eq=False)
 class Liouvillian:
-    """Sparse generator acting on column-vectorized density matrices, with
-    the shift-independent parts of its steady-state solve (``pieces``, see
-    ``_build_pieces``), built once here.
+    """Sparse generator acting on column-vectorized density matrices.
 
     ``matrix`` is kept as a complex csr copy whose diagonal is stored in full,
     explicit zeros included (with no qubit damping an n1 != n2 entry can
     vanish), so that L + shift*D has the sparsity of L for every shift.
+    The steady-state ``pieces`` (see ``_build_pieces``) are built on first
+    use: a generator that is only evolved never pays for them.
     """
 
     matrix: sp.csr_matrix
     spec: HilbertSpec
-    pieces: _Pieces = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.spec.dim**2
@@ -187,36 +186,56 @@ class Liouvillian:
         m.sum_duplicates()
         m.setdiag(m.diagonal())
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "pieces", _build_pieces(m, self.spec))
 
-
-def _super(left: sp.spmatrix, right: sp.spmatrix) -> sp.csr_matrix:
-    """S(left, right) = kron(right^T, left), so S vec(rho) = vec(left rho right)."""
-    import scipy.sparse as sp
-
-    return sp.kron(right.T, left, format="csr")
+    @cached_property
+    def pieces(self) -> _Pieces:
+        return _build_pieces(self.matrix, self.spec)
 
 
 def build_liouvillian(sys: SystemParams, spec: HilbertSpec) -> Liouvillian:
-    """Assemble the vectorized generator for the given rate set from the
-    effective Hamiltonian K and the jumps (see the module docstring)."""
+    """Assemble the vectorized generator from the effective Hamiltonian K and
+    the jumps (see the module docstring) in one pass over their nonzeros.
+
+    Every B_k^dag B_k is diagonal, so K is H off its diagonal, and each B_k
+    is diagonal or zero there, so the kron products of L meet only on its
+    diagonal.  Each entry is laid out by index arithmetic and its value
+    formed, and on the diagonal summed, as the sum of the kron products
+    would form it: L equals that sum entry for entry.
+    """
+    import scipy.sparse as sp
+
     ops = build_operators(spec)
-    ident = ops.identity
-    k = build_hamiltonian(sys, spec)
-    jumps = []
-    channels = (
-        (0.5 * sys.gamma, ops.sigma_minus),
-        (0.25 * sys.gamma_phi, ops.sigma_z),  # coherence decay gamma_phi
-        (0.5 * sys.kappa_a, ops.a),
-        (0.5 * sys.kappa_b, ops.b),
-    )
+    h = build_hamiltonian(sys, spec)
+    d, n = spec.dim, np.int64(spec.dim) ** 2
+
+    def kron(x, y, scale):  # row * n + col and value of each entry of scale * kron(x, y)
+        (xr, xc, xv), (yr, yc, yv) = sp.find(x), sp.find(y)
+        key = (yr + d * xr[:, None]) * n + yc + d * xc[:, None]
+        return key.ravel(), (scale * np.multiply.outer(xv, yv)).ravel()
+
+    k_diag, k_off = h.diagonal(), h - sp.diags(h.diagonal())
+    # -i S(K, I) + i S(I, K^dag) off the diagonal, then sum_k 2 c_k S(B_k, B_k^dag)
+    terms = [kron(ops.identity, k_off, -1j), kron(k_off.conj(), ops.identity, 1j)]
+    channels = ((0.5 * sys.gamma, ops.sigma_minus), (0.25 * sys.gamma_phi, ops.sigma_z),
+                (0.5 * sys.kappa_a, ops.a), (0.5 * sys.kappa_b, ops.b))
     for rate, op in channels:
         if rate == 0.0:
             continue
-        k = k - 1j * rate * (op.conj().T @ op)
-        jumps.append(2.0 * rate * _super(op, op.conj().T))
-    gen = -1j * _super(k, ident) + 1j * _super(ident, k.conj().T) + sum(jumps)
-
+        k_diag = k_diag - 1j * rate * (op.conj().T @ op).diagonal()
+        terms.append(kron(op.conj(), op, 2.0 * rate))
+    on_diag = (-1j * k_diag + (1j * k_diag.conj())[:, None]).ravel()
+    keys, values = [np.arange(n) * (n + 1)], [on_diag]
+    for key, value in terms:
+        diagonal = key % (n + 1) == 0  # sigma_z's jump only
+        on_diag[key[diagonal] // (n + 1)] += value[diagonal]
+        keys.append(key[~diagonal])
+        values.append(value[~diagonal])
+    key = np.concatenate(keys)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    gen = sp.csr_matrix((np.concatenate(values)[order], (key % n).astype(np.int32),
+                         np.searchsorted(key, np.arange(n + 1) * n).astype(np.int32)),
+                        shape=(n, n))
     liou = Liouvillian(gen, spec)
     # the trace functional applied to every column of the generator
     defect = float(np.max(np.abs(_trace_row(spec.dim) @ liou.matrix)))
@@ -277,11 +296,8 @@ def expectation(op: sp.spmatrix, rho) -> complex:
 @dataclass(frozen=True, eq=False)
 class _Pieces:
     """What the steady state of L + shift*D needs that no shift changes (see
-    ``_build_pieces``); unknowns come in coherence blocks.  Each entry of
-    ``a`` and ``pre_plus`` is the position in L.data of the value it takes.
-    The probe-free part ``pre`` is factored by coherence order m = n1 - n2:
-    m = 0 once per generator (``lu0``), m > 0 per shift (``pre_plus``), and
-    m < 0 is solved with the conjugated m > 0 factor."""
+    ``_build_pieces``).  Each entry of ``a`` and ``pre_plus`` is the position
+    in L.data of the value it takes."""
 
     order: np.ndarray  # vec(rho) index of the vacuum, then of each unknown
     a: sp.csr_matrix  # the generator on the unknowns
@@ -301,15 +317,16 @@ def _build_pieces(matrix: sp.csr_matrix, spec: HilbertSpec) -> _Pieces:
     Apart from the probe, the generator conserves the coherence order
     m = n1 - n2 and its jumps lower n1 + n2, so its probe-free part ``pre``
     is block diagonal in m, and in (n1 + n2, n1) order block triangular: LU
-    in that natural order fills in only inside the diagonal blocks.  So the
-    unknowns run m = 0, then m > 0, each in (n1 + n2, n1) order, then the
-    vec-transpose |j><i| of each m > 0 unknown |i><j|.  D vanishes at m = 0,
-    so that block is factored here, once per generator.  L preserves
+    in that natural order fills in only inside the (n1, n2) blocks.  Inside
+    a manifold the states run by (n_b, qubit), where a b^dag and sigma_+ b
+    couple near neighbours, so each block's LU stays banded.  The unknowns
+    run m = 0, then m > 0, each in that order (|i><j| by j, then i), then
+    the vec-transpose |j><i| of each m > 0 unknown.  D vanishes at m = 0, so
+    that block (``lu0``) is factored once per generator.  L preserves
     hermiticity, so the vec-transpose maps L + shift*D onto its conjugate
     and m onto -m: the m < 0 run is solved with the conjugated m > 0 factor.
     rho[0, 0] = 1 replaces the vacuum row (redundant by trace preservation)
-    and unknown; the vacuum column becomes the source.  ``matrix`` is
-    canonical csr with its diagonal stored in full.
+    and unknown; the vacuum column becomes the source.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
@@ -318,39 +335,32 @@ def _build_pieces(matrix: sp.csr_matrix, spec: HilbertSpec) -> _Pieces:
     n = q + na + nb
     n1, n2 = np.tile(n, spec.dim), np.repeat(n, spec.dim)
     coherence = n1 - n2
-    exc = np.lexsort((n1, n1 + n2))[1:]  # the vacuum alone has n1 + n2 = 0
+    within = np.empty_like(n)  # each state's place in (n, n_b, qubit) order
+    within[np.lexsort((q, nb, n))] = np.arange(spec.dim)
+    ties = np.add.outer(spec.dim * within, within).ravel()  # vec order: j, then i
+    exc = np.lexsort((ties, n1, n1 + n2))[1:]  # the vacuum alone has n1 + n2 = 0
     zero, plus = exc[coherence[exc] == 0], exc[coherence[exc] > 0]
     minus = plus % spec.dim * spec.dim + plus // spec.dim  # |i><j| -> |j><i|
     order = np.concatenate(([0], zero, plus, minus))
     k0, k1 = zero.size, zero.size + plus.size
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size) - 1
 
-    coo = matrix.tocoo()  # keeps the order of matrix.data
-    at = np.arange(coo.nnz)
-    row, col = rank[coo.row], rank[coo.col]
-    body = (row >= 0) & (col >= 0)
-    shape = (order.size - 1, order.size - 1)
-    a = sp.csr_matrix((at[body], (row[body], col[body])), shape=shape)
-    rhs = np.zeros(shape[0], dtype=complex)
-    source = (row >= 0) & (col < 0)
-    rhs[row[source]] = -coo.data[source]
-    diag = np.flatnonzero(coo.row == coo.col)
-    same = body & (coherence[coo.row] == coherence[coo.col])
-
-    def block(lo, hi):  # csc of the positions of pre's entries in rows lo..hi-1
-        keep = same & (row >= lo) & (row < hi)
-        return sp.csc_matrix(
-            (at[keep], (row[keep] - lo, col[keep] - lo)), shape=(hi - lo, hi - lo)
-        )
+    at = sp.csr_matrix((np.arange(matrix.nnz), matrix.indices, matrix.indptr))
+    a = at[order[1:]][:, order[1:]]  # positions in L.data of the unknowns' entries
+    a.sort_indices()
+    rhs = -matrix[order[1:]][:, [0]].toarray().ravel()  # minus the vacuum column
+    rows = np.repeat(np.arange(order.size), np.diff(matrix.indptr))
+    diag = np.flatnonzero(rows == matrix.indices)
+    same = (coherence[rows] == coherence[matrix.indices])[a.data]
+    indptr = np.concatenate(([0], np.cumsum(same)))[a.indptr]
+    pre = sp.csr_matrix((a.data[same], a.indices[same], indptr), shape=a.shape)  # keeps m
 
     try:  # no shift enters the m = 0 block, so L.data holds its values
-        lu0 = spla.splu(_gather(block(0, k0), matrix.data), permc_spec="NATURAL")
+        lu0 = spla.splu(_gather(pre[:k0, :k0].tocsc(), matrix.data), permc_spec="NATURAL")
     except RuntimeError:  # singular: the undriven generator has no unique fixed point
         lu0 = None
     return _Pieces(
         order=order, a=a, rhs=rhs, d=-1j * coherence, diag=diag,
-        k0=k0, k1=k1, lu0=lu0, pre_plus=block(k0, k1),
+        k0=k0, k1=k1, lu0=lu0, pre_plus=pre[k0:k1, k0:k1].tocsc(),
     )
 
 
@@ -404,15 +414,10 @@ def _solve_structured(
     (trace-normalized vec(rho), iterations begun, converged), or
     (None, 0, False) when the preconditioner is singular.
 
-    The LU of the probe-free part, taken in its natural (block) order,
-    preconditions BiCGSTAB on the driven system (see ``_build_pieces``).  It
-    is factored by coherence order m = n1 - n2: m = 0 once per generator,
-    m > 0 here, and m < 0 is solved with the conjugated m > 0 factor
-    (``_preconditioner``).  The system and the m > 0 blocks are gathered
-    from m.data.  scipy's gmres would spin idle OpenBLAS threads on the
-    other cores (its Krylov update is a BLAS gemv); bicgstab uses only
-    level-1 operations, so it does not.  (numpy's vdot and norm, which it
-    calls, stay on one thread up to 10000 elements, truncation (7, 7).)
+    The LU of the probe-free part preconditions it (``_preconditioner``).
+    scipy's gmres would spin idle OpenBLAS threads (its Krylov update is a
+    BLAS gemv); bicgstab uses only level-1 operations, and numpy's vdot and
+    norm stay on one thread up to 10000 elements, truncation (7, 7).
     """
     import scipy.sparse.linalg as spla
 
@@ -495,17 +500,14 @@ def steady_state_dm(
     functional picks only n1 == n2 entries, where D vanishes, so L + shift*D
     preserves the trace as L does.
 
-    Runs BiCGSTAB on the coherence-blocked system with the vacuum population
-    fixed, preconditioned by the LU of its probe-free part (see
-    ``_solve_structured``).  If that factor is singular, BiCGSTAB does not
-    converge, or the residual ||(L + shift*D) vec(rho)||_2 exceeds 1e-10 *
-    max|entries of L + shift*D|, it falls back to the LU of the
-    trace-replaced generator, whose residual is held to the same bound.
-    Rank deficiency beyond the trace direction raises
-    DegenerateSteadyStateError, a missed residual SolverError.  ``info``, if
-    given, receives the route taken ("structured" or "lu"), the BiCGSTAB
-    iterations begun (half the preconditioner solves, rounded up), the
-    residual and its threshold.
+    Runs ``_solve_structured``.  If its preconditioner is singular, BiCGSTAB
+    does not converge, or the residual ||(L + shift*D) vec(rho)||_2 exceeds
+    1e-10 * max|entries of L + shift*D|, it falls back to the LU of the
+    trace-replaced generator, held to the same bound.  Rank deficiency
+    beyond the trace direction raises DegenerateSteadyStateError, a missed
+    residual SolverError.  ``info``, if given, receives the route taken
+    ("structured" or "lu"), the BiCGSTAB iterations begun (half the
+    preconditioner solves, rounded up), the residual and its threshold.
     """
     m = _shifted(liou, shift)
     threshold = _threshold(m)
@@ -524,15 +526,10 @@ def steady_state_dm(
         x = _solve_lu(m)
         residual = _certify(m, x, threshold)
 
-    log.debug(
-        "steady_state_dm: %s route, %d iterations, residual %.3e of %.3e",
-        route, iterations, residual, threshold,
-    )
+    log.debug("steady_state_dm: %s route, %d iterations, residual %.3e of %.3e",
+              route, iterations, residual, threshold)
     if info is not None:
-        info.update(
-            route=route, iterations=iterations, residual=residual,
-            threshold=threshold,
-        )
+        info.update(route=route, iterations=iterations, residual=residual, threshold=threshold)
     s = _unvec(x, liou.spec.dim)
     return DensityMatrix(0.5 * (s + s.conj().T))
 
@@ -619,16 +616,17 @@ def rwa_error_probe(sys: SystemParams, spec: HilbertSpec, omega_sum: float) -> f
     reported as a warning, not an error, and the scan up to that point is
     used.
     """
+    import scipy.sparse as sp
     from scipy.integrate import solve_ivp
 
     if not 0 < omega_sum < math.inf:
         raise DomainError(f"omega_sum must be finite and > 0, got {omega_sum!r}")
     liou = build_liouvillian(sys, spec)
     ops = build_operators(spec)
-    ident = ops.identity
     x = (-sys.lam * (ops.a @ ops.b) + sys.g * (ops.sigma_minus @ ops.b)).tocsr()
-    s_lo, s_hi = (
-        -1j * (_super(op, ident) - _super(ident, op)) for op in (x, x.conj().T)
+    s_lo, s_hi = (  # -i(S(X, I) - S(I, X)), S(A, B) = kron(B^T, A)
+        -1j * (sp.kron(ops.identity, op, format="csr") - sp.kron(op.T, ops.identity, format="csr"))
+        for op in (x, x.conj().T)
     )
 
     n2 = spec.dim**2

@@ -146,6 +146,7 @@ def quantum_expectations(systems, spec: HilbertSpec, operators) -> np.ndarray:
     if any(replace(s, delta_p=0.0) != base for s in systems):
         raise DomainError("master-equation points must differ only in delta_p")
     liou = build_liouvillian(base, spec)
+    liou.pieces  # built here, before the workers share the generator
 
     symmetric = (base.delta_b_offset == 0 and base.delta_q_offset == 0
                  and base.epsilon.imag == 0)

@@ -201,6 +201,26 @@ class TestSweep:
             sys.setswitchinterval(interval)
         assert texts[0] == texts[1]
 
+    def test_pieces_are_built_before_the_workers_start(self, monkeypatch):
+        """The generator makes its steady-state pieces on first use; the
+        sweep makes them on its own thread, so no two workers build them."""
+        import threading
+
+        from nit_sim import quantum
+
+        builders = []
+        real = quantum._build_pieces
+
+        def recording(*args):
+            builders.append(threading.current_thread())
+            return real(*args)
+
+        monkeypatch.setattr(quantum, "_build_pieces", recording)
+        monkeypatch.setenv("NIT_SIM_THREADS", "2")
+        sweep(SweepConfig(weak_drive_system(delta_b_offset=0.07), -1.5, 1.5, 5,
+                          backend="quantum", quantum_spec=HilbertSpec(3, 3)))
+        assert builders == [threading.current_thread()]
+
     def test_quantum_points_share_all_but_the_detuning(self):
         spec = HilbertSpec(2, 2)
         a_op = build_operators(spec).a
