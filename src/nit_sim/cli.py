@@ -294,23 +294,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "master-equation backends.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} command")
-        p.add_argument("--config", required=True, help="config file path")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument(
-            "--format",
-            default=None,
-            help="comma-separated subset of csv,json,svg",
-        )
+    parser.add_argument("command", choices=COMMANDS, help="command to run")
+    parser.add_argument("--config", required=True, help="config file path")
+    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--format", help="comma-separated subset of csv,json,svg")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
+        cfg = parse_config(Path(args.config).read_text(encoding="utf-8-sig"))
         if cfg.command != args.command:
             raise ConfigError(
                 f"config sets command = {cfg.command!r} but the command "

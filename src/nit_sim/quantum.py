@@ -101,32 +101,29 @@ class OperatorSet:
     identity: sp.csr_matrix
 
 
-def _destroy(n: int) -> sp.csr_matrix:
-    import scipy.sparse as sp
-
-    return sp.diags(np.sqrt(np.arange(1, n)), 1, format="csr")
-
-
 @lru_cache(maxsize=None)
 def build_operators(spec: HilbertSpec) -> OperatorSet:
-    """Embedded single-subsystem operators, built once per truncation."""
+    """Embedded single-subsystem operators, built once per truncation.
+
+    State (q, i, j) of qubit, mode a and mode b sits at basis index
+    k = (q*n_a + i)*n_b + j.  Each operator moves state k to k - step with
+    amplitude amp[k] and stores no zeros.
+    """
     import scipy.sparse as sp
 
-    i2 = sp.identity(2, format="csr")
-    ia = sp.identity(spec.n_a, format="csr")
-    ib = sp.identity(spec.n_b, format="csr")
-    sm2 = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))  # |g><e|
-    sz2 = sp.csr_matrix(np.diag([-1.0, 1.0]))
+    k = np.arange(spec.dim)
+    q, i, j = k // (spec.n_a * spec.n_b), k // spec.n_b % spec.n_a, k % spec.n_b
 
-    def emb(q, ta, tb):
-        return sp.kron(sp.kron(q, ta), tb, format="csr")
+    def op(amp, step):
+        src = np.flatnonzero(amp)
+        return sp.csr_matrix((amp[src].astype(float), (src - step, src)), shape=(spec.dim,) * 2)
 
     return OperatorSet(
-        a=emb(i2, _destroy(spec.n_a), ib),
-        b=emb(i2, ia, _destroy(spec.n_b)),
-        sigma_minus=emb(sm2, ia, ib),
-        sigma_z=emb(sz2, ia, ib),
-        identity=emb(i2, ia, ib),
+        a=op(np.sqrt(i), spec.n_b),
+        b=op(np.sqrt(j), 1),
+        sigma_minus=op(q, spec.n_a * spec.n_b),
+        sigma_z=op(2 * q - 1, 0),
+        identity=op(np.ones(spec.dim), 0),
     )
 
 

@@ -362,6 +362,42 @@ class TestOtherCommands:
         assert len(lamb) == 1
 
 
+class TestCommandLine:
+    @pytest.mark.parametrize("command", config.COMMANDS)
+    def test_every_command_parses(self, command):
+        args = cli._build_parser().parse_args([command, "--config", "run.cfg"])
+        assert (args.command, args.config, args.out, args.format) == (
+            command, "run.cfg", None, None,
+        )
+
+    def test_options_may_come_before_the_command(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(STEADY_CFG, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_file), "--out", str(out), "steady"]) == 0
+        assert_outputs(out, capsys.readouterr().out, ["steady.json"])
+
+    @pytest.mark.parametrize(
+        "head", [["bogus", "--config", "run.cfg"], ["steady"]],
+        ids=["unknown-command", "missing-config"],
+    )
+    def test_bad_command_line_exits_2_and_writes_nothing(self, tmp_path, capsys, head):
+        (tmp_path / "run.cfg").write_text(STEADY_CFG, encoding="utf-8")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*head, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "usage: nit-sim" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_with_a_byte_order_mark(self, tmp_path):
+        """A config saved with a UTF-8 byte-order mark runs as it would without."""
+        plain, plain_out = run_cli(tmp_path / "plain", STEADY_CFG, "steady")
+        bom, bom_out = run_cli(tmp_path / "bom", "\ufeff" + STEADY_CFG, "steady")
+        assert plain == bom == 0
+        assert (bom_out / "steady.json").read_bytes() == (plain_out / "steady.json").read_bytes()
+
+
 class TestFailureModes:
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["sweep", "--config", str(tmp_path / "nope.cfg")])

@@ -95,6 +95,26 @@ def kron_generator(sys: SystemParams, spec: HilbertSpec) -> sp.csr_matrix:
     )
 
 
+def kron_operators(spec: HilbertSpec) -> dict[str, sp.csr_matrix]:
+    """Reference: each operator as the kron product qubit (x) Fock(a) (x)
+    Fock(b) of its single-subsystem factor and identities, stored zeros
+    dropped."""
+    i2, ia, ib = (sp.identity(n, format="csr") for n in (2, spec.n_a, spec.n_b))
+    da, db = (sp.diags(np.sqrt(np.arange(1.0, n)), 1) for n in (spec.n_a, spec.n_b))
+    factors = {
+        "a": (i2, da, ib),
+        "b": (i2, ia, db),
+        "sigma_minus": (sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]])), ia, ib),
+        "sigma_z": (sp.diags([-1.0, 1.0]), ia, ib),
+        "identity": (i2, ia, ib),
+    }
+    out = {}
+    for name, (q, fa, fb) in factors.items():
+        out[name] = sp.kron(sp.kron(q, fa), fb, format="csr")
+        out[name].eliminate_zeros()
+    return out
+
+
 # (n, overrides) of the coherence-order symmetry checks
 COHERENCE_CASES = pytest.mark.parametrize(
     "n, overrides",
@@ -109,6 +129,19 @@ COHERENCE_CASES = pytest.mark.parametrize(
 
 
 class TestOperators:
+    @pytest.mark.parametrize("n_a, n_b", [(2, 2), (3, 2), (2, 5), (5, 5)])
+    def test_operators_equal_the_kron_embedding(self, n_a, n_b):
+        """Built from the basis index, every operator stores no zeros and
+        equals its kron embedding entry for entry, two-level modes included."""
+        spec = HilbertSpec(n_a, n_b)
+        ops = build_operators(spec)
+        for name, ref in kron_operators(spec).items():
+            op = getattr(ops, name)
+            assert np.all(op.data != 0), name
+            np.testing.assert_array_equal(op.indptr, ref.indptr, err_msg=name)
+            np.testing.assert_array_equal(op.indices, ref.indices, err_msg=name)
+            np.testing.assert_array_equal(op.data, ref.data, err_msg=name)
+
     def test_annihilator_matrix_elements(self):
         ops = build_operators(SPEC44)
         a = ops.a
