@@ -35,6 +35,7 @@ from .config import (
     COMMANDS,
     RunConfig,
     _formats,
+    _out,
     parse_config,
     render_config,
 )
@@ -311,15 +312,13 @@ def main(argv: list[str] | None = None) -> int:
                 f"line says {args.command!r}"
             )
         overrides = {}
-        if args.out is not None:
-            overrides["output_dir"] = args.out
-        if args.format is not None:
-            try:
-                overrides["formats"] = _formats(args.format)
-            except ValueError as exc:
-                raise ConfigError(f"--format: {exc}") from None
-        if overrides:
-            cfg = replace(cfg, **overrides)
+        for option, key, parse in (("out", "output_dir", _out), ("format", "formats", _formats)):
+            if getattr(args, option) is not None:
+                try:
+                    overrides[key] = parse(getattr(args, option))
+                except ValueError as exc:
+                    raise ConfigError(f"--{option}: {exc}") from None
+        cfg = replace(cfg, **overrides)
         if "svg" in cfg.formats and cfg.command != "sweep":
             raise ConfigError(
                 "svg output is only defined for the sweep command "
@@ -349,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
         }
         run_meta.update(payload)
         _write_text(outdir, "run.json", _json_text(run_meta), files)
-    except (ConfigError, DomainError) as exc:
+    except (ConfigError, DomainError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -134,6 +134,17 @@ def _formats(raw: str) -> tuple[str, ...]:
     return tuple(f for f in FORMATS if f in picked)
 
 
+def _out(raw: str) -> str:
+    """An output directory that reads back as itself from `render_config`'s line."""
+    try:
+        if _tokenize(f"[run]\nout = {raw}")["run"]["out"][0] == raw:
+            return raw
+    except ConfigError:
+        pass
+    raise ValueError(f"{raw!r} would not read back from a config line (it may not be empty, "
+                     "hold #, ; or a line break, or begin or end with a quote or whitespace)")
+
+
 def _float_list(raw: str) -> tuple[float, ...]:
     return tuple(_num(s.strip()) for s in raw.split(","))
 
@@ -153,7 +164,7 @@ _GE2 = (lambda v: v >= 2, "must be >= 2")
 _SCHEMA: dict[str, dict[str, _Field]] = {
     "run": {
         "command": _Field(_enum(COMMANDS), required=True),
-        "out": _Field(str, default="."),
+        "out": _Field(_out, default="."),
         "formats": _Field(_formats, default=("csv", "json")),
     },
     "system": {

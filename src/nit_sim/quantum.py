@@ -53,7 +53,6 @@ log = logging.getLogger(__name__)
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-8
-TRACE_DRIFT_MAX = 1e-9
 RESIDUAL_TOL = 1e-10
 SOLVE_RTOL = 1e-13
 SOLVE_MAXITER = 50  # BiCGSTAB iterations (two preconditioner solves each)
@@ -111,8 +110,7 @@ def build_operators(spec: HilbertSpec) -> OperatorSet:
     """
     import scipy.sparse as sp
 
-    k = np.arange(spec.dim)
-    q, i, j = k // (spec.n_a * spec.n_b), k // spec.n_b % spec.n_a, k % spec.n_b
+    q, i, j = np.indices((2, spec.n_a, spec.n_b)).reshape(3, -1)
 
     def op(amp, step):
         src = np.flatnonzero(amp)
@@ -165,9 +163,10 @@ def build_hamiltonian(sys: SystemParams, spec: HilbertSpec) -> sp.csr_matrix:
 class Liouvillian:
     """Sparse generator acting on column-vectorized density matrices.
 
-    ``matrix`` is kept as a complex csr copy whose diagonal is stored in full,
-    explicit zeros included (with no qubit damping an n1 != n2 entry can
-    vanish), so that L + shift*D has the sparsity of L for every shift.
+    ``matrix``, of any sparse format, is made here, in one copy, a canonical
+    complex csr whose diagonal is stored in full, explicit zeros included
+    (with no qubit damping an n1 != n2 entry can vanish), so that L +
+    shift*D has the sparsity of L for every shift.
     The steady-state ``pieces`` (see ``_build_pieces``) are built on first
     use: a generator that is only evolved never pays for them.
     """
@@ -179,7 +178,7 @@ class Liouvillian:
         n = self.spec.dim**2
         if self.matrix.shape != (n, n):
             raise DomainError(f"generator is {self.matrix.shape}, truncation needs {(n, n)}")
-        m = self.matrix.tocsr().astype(complex)
+        m = self.matrix.tocsr(copy=True).astype(complex, copy=False)
         m.sum_duplicates()
         m.setdiag(m.diagonal())
         object.__setattr__(self, "matrix", m)
@@ -222,17 +221,15 @@ def build_liouvillian(sys: SystemParams, spec: HilbertSpec) -> Liouvillian:
         terms.append(kron(op.conj(), op, 2.0 * rate))
     on_diag = (-1j * k_diag + (1j * k_diag.conj())[:, None]).ravel()
     keys, values = [np.arange(n) * (n + 1)], [on_diag]
+    # each place of the coo below is filled once, so the csr that Liouvillian
+    # makes of it has no duplicates to sum and arrays exactly nnz long
     for key, value in terms:
         diagonal = key % (n + 1) == 0  # sigma_z's jump only
         on_diag[key[diagonal] // (n + 1)] += value[diagonal]
         keys.append(key[~diagonal])
         values.append(value[~diagonal])
     key = np.concatenate(keys)
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    gen = sp.csr_matrix((np.concatenate(values)[order], (key % n).astype(np.int32),
-                         np.searchsorted(key, np.arange(n + 1) * n).astype(np.int32)),
-                        shape=(n, n))
+    gen = sp.coo_matrix((np.concatenate(values), (key // n, key % n)), shape=(n, n))
     liou = Liouvillian(gen, spec)
     # the trace functional applied to every column of the generator
     defect = float(np.max(np.abs(_trace_row(spec.dim) @ liou.matrix)))
@@ -557,7 +554,7 @@ def evolve(
     (relative tolerance 1e-9, absolute 1e-13).
 
     The final state is certified once: its hermiticity defect and trace
-    drift go to ``info``, a trace drift beyond 1e-9 is a SolverError and a
+    drift go to ``info``, a trace drift beyond 1e-10 is a SolverError and a
     failed integration a StiffnessError.  Returns its hermitian part.
     """
     from scipy.integrate import solve_ivp
@@ -568,9 +565,8 @@ def evolve(
     if rho0.matrix.shape != (dim, dim):
         raise DomainError(f"state is {rho0.matrix.shape}, generator acts on {(dim, dim)}")
 
-    mat = liou.matrix
     sol = solve_ivp(
-        lambda t, y: mat @ y,
+        lambda t, y: liou.matrix @ y,
         (0.0, t_end),
         _vec(rho0.matrix),
         method="RK45",
@@ -586,8 +582,8 @@ def evolve(
     log.debug("evolve: herm drift %.3e, trace drift %.3e", herm_drift, trace_drift)
     if info is not None:
         info.update(herm_drift=herm_drift, trace_drift=trace_drift)
-    if not trace_drift <= TRACE_DRIFT_MAX:  # also catches a non-finite state
-        raise SolverError(f"trace drift {trace_drift:.3e} exceeds {TRACE_DRIFT_MAX:g}")
+    if not trace_drift <= TRACE_TOL:  # also catches a non-finite state
+        raise SolverError(f"trace drift {trace_drift:.3e} exceeds {TRACE_TOL:g}")
     return DensityMatrix(0.5 * (s + s.conj().T))
 
 
@@ -654,9 +650,5 @@ def rwa_error_probe(sys: SystemParams, spec: HilbertSpec, omega_sum: float) -> f
             "using the partial scan",
             stacklevel=2,
         )
-    worst = 0.0
-    for j in range(sol.y.shape[1]):
-        r_plain = _unvec(sol.y[:n2, j], spec.dim)
-        r_full = _unvec(sol.y[n2:, j], spec.dim)
-        worst = max(worst, trace_distance(r_plain, r_full))
-    return worst
+    pairs = ((_unvec(w[:n2], spec.dim), _unvec(w[n2:], spec.dim)) for w in sol.y.T)
+    return max((trace_distance(*pair) for pair in pairs), default=0.0)

@@ -397,6 +397,34 @@ class TestCommandLine:
         assert plain == bom == 0
         assert (bom_out / "steady.json").read_bytes() == (plain_out / "steady.json").read_bytes()
 
+    def test_config_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_bytes(b"# \xe9\n" + STEADY_CFG.encode())
+        out = tmp_path / "out"
+        assert main(["steady", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "value", ["o#3", "o;3", " o", "o ", "'o'", '"o', 'o"', "o\n3", ""],
+        ids=["hash", "semicolon", "leading-space", "trailing-space", "quoted",
+             "open-quote", "closing-quote", "line-break", "empty"],
+    )
+    def test_out_that_config_text_cannot_carry(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(STEADY_CFG, encoding="utf-8")
+        assert main(["steady", "--config", "run.cfg", "--out", value]) == 2
+        assert capsys.readouterr().err.startswith("config error: --out: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    @pytest.mark.parametrize("value", ["o 3", "a=b", "o'3", "x/y"])
+    def test_config_text_gives_back_the_out(self, tmp_path, monkeypatch, value):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(STEADY_CFG, encoding="utf-8")
+        assert main(["steady", "--config", "run.cfg", "--out", value]) == 0
+        meta = json.loads((tmp_path / value / "run.json").read_text())
+        assert parse_config(meta["config_text"]).output_dir == value
+
 
 class TestFailureModes:
     def test_missing_config_file(self, tmp_path, capsys):

@@ -480,6 +480,9 @@ class TestRoundTrip:
     def test_round_trip_covers_every_command(self):
         samples = {
             "steady": as_command("steady", ""),
+            "steady with a quoted out": as_command("steady", "").replace(
+                "[run]\n", '[run]\nout = "my dir"\n'
+            ),
             "evolve": as_command("evolve", "[evolve]\nt_end = 40\n"),
             "validate": as_command(
                 "validate", "[validate]\nn_points = 7\nn_a = 4\nn_b = 4\n"
@@ -497,6 +500,12 @@ class TestRoundTrip:
         # recorded as written, though only the quantum backend reads it
         swept = render_config(parse_config(samples["analytic sweep with n_a"]))
         assert "\nn_a = 7\nn_b = 5\n" in swept
+
+    @pytest.mark.parametrize("value", ["\"'o'\"", "'o\"'"])
+    def test_out_that_would_not_render_back_is_rejected(self, value):
+        text = as_command("steady", "").replace("[run]\n", f"[run]\nout = {value}\n")
+        with pytest.raises(ConfigError, match="out: .* would not read back"):
+            parse_config(text)
 
     def test_round_trip_quantum_sweep(self):
         text = SWEEP_TEXT.replace(

@@ -310,6 +310,33 @@ class TestLiouvillian:
             for part in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(got, part), getattr(want, part)), (spec, part)
 
+    def test_a_callers_csr_keeps_its_bytes(self):
+        # a duplicate, unsorted columns and a missing diagonal: making this
+        # canonical in place would rewrite all three arrays
+        n = SPEC22.dim**2
+        data = np.array([1.0 + 2.0j, 3.0, -1.0j, 0.5, 0.25j])
+        indices = np.array([5, 0, 5, n - 1, 2], dtype=np.int32)
+        indptr = np.array([0, 3] + [4] * (n - 2) + [5], dtype=np.int32)
+        m = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+        parts = ("data", "indices", "indptr")
+        before = [getattr(m, part).tobytes() for part in parts]
+        dense = m.toarray()
+        liou = Liouvillian(m, SPEC22)
+        assert [getattr(m, part).tobytes() for part in parts] == before
+        assert liou.matrix.has_canonical_format
+        assert liou.matrix.nnz == n + 3  # the full diagonal and three entries off it
+        np.testing.assert_array_equal(liou.matrix.toarray(), dense)
+
+    @pytest.mark.parametrize("spec", [SPEC22, HilbertSpec(3, 2), HilbertSpec(5, 5)], ids=str)
+    def test_generator_arrays_are_exactly_nnz_long(self, spec):
+        m = build_liouvillian(weak_drive_system(), spec).matrix
+        for part in (m.data, m.indices):
+            held = part
+            while isinstance(held.base, np.ndarray):  # a view keeps its whole buffer
+                held = held.base
+            assert part.size == m.nnz
+            assert held.nbytes == part.nbytes
+
     @pytest.mark.parametrize("n", [3, 5])
     @pytest.mark.parametrize(
         "overrides",
@@ -697,6 +724,16 @@ class TestEvolve:
         rho0 = vacuum_state(SPEC22)
         rho = evolve(rho0, liou, t_end=5.0)
         assert trace_distance(rho, rho0) < 1e-12
+
+    def test_trace_drift_is_held_to_the_density_matrix_bound(self):
+        # evolve checks the drift against the trace tolerance of DensityMatrix,
+        # so a drift above it is a SolverError, not DensityMatrix's DomainError
+        dim2 = SPEC22.dim**2
+        liou = Liouvillian(-5e-10 * sp.identity(dim2, dtype=complex, format="csr"), SPEC22)
+        info: dict = {}
+        with pytest.raises(SolverError, match="trace drift"):
+            evolve(vacuum_state(SPEC22), liou, t_end=1.0, info=info)
+        assert info["trace_drift"] == pytest.approx(5e-10, rel=1e-3)
 
     def test_rejects_bad_arguments(self):
         liou = build_liouvillian(weak_drive_system(), SPEC22)
