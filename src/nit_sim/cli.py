@@ -325,11 +325,11 @@ def main(argv: list[str] | None = None) -> int:
                 "(single-spectrum plot)"
             )
 
-        outdir = Path(cfg.output_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
         files: list[str] = []
         start = time.perf_counter()
         payload, ok, outputs = _DISPATCH[cfg.command](cfg)
+        outdir = Path(cfg.output_dir)  # made only once the command has run
+        outdir.mkdir(parents=True, exist_ok=True)
         for name, body in outputs.items():
             if Path(name).suffix[1:] in cfg.formats:
                 text = body() if callable(body) else _json_text(body)

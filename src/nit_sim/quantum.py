@@ -27,7 +27,6 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Callable
@@ -57,9 +56,8 @@ RESIDUAL_TOL = 1e-10
 SOLVE_RTOL = 1e-13
 SOLVE_MAXITER = 50  # BiCGSTAB iterations (two preconditioner solves each)
 DIM2_CAP = 250_000  # superoperator dimension dim^2
-_EVOLVE_TOL = 1e-9  # evolve: relative step tolerance
+_ODE_TOL = 1e-9  # evolve, rwa_error_probe: RK45 relative tolerance, absolute 1e-4 of it
 _PROBE_T_END = 2.0  # rwa_error_probe: integration horizon
-_PROBE_TOL = 1e-9  # rwa_error_probe: relative step tolerance
 _PROBE_SAMPLES = 81  # evenly spaced times at which it compares the states
 
 
@@ -547,36 +545,37 @@ def mirror_dm(liou: Liouvillian, rho: DensityMatrix, shift: float) -> DensityMat
     return out
 
 
+def _integrate(rhs: Callable, y0: np.ndarray, times) -> np.ndarray:
+    """The states y(t) at ``times``, one column each, of y' = rhs(t, y) with
+    y(0) = ``y0``, by one adaptive RK45 integration (relative tolerance
+    1e-9, absolute 1e-13).  A failed integration is a StiffnessError."""
+    from scipy.integrate import solve_ivp
+
+    sol = solve_ivp(  # t_eval: without it every accepted state is kept
+        rhs, (0.0, times[-1]), y0, method="RK45", t_eval=times,
+        rtol=_ODE_TOL, atol=_ODE_TOL * 1e-4,
+    )
+    if not sol.success:
+        raise StiffnessError(f"integration failed: {sol.message}")
+    return sol.y
+
+
 def evolve(
     rho0: DensityMatrix, liou: Liouvillian, t_end: float, info: dict | None = None
 ) -> DensityMatrix:
-    """Propagate a state to ``t_end`` in one adaptive RK45 integration
-    (relative tolerance 1e-9, absolute 1e-13).
+    """Propagate a state to ``t_end`` with ``_integrate``.
 
     The final state is certified once: its hermiticity defect and trace
     drift go to ``info``, a trace drift beyond 1e-10 is a SolverError and a
     failed integration a StiffnessError.  Returns its hermitian part.
     """
-    from scipy.integrate import solve_ivp
-
     if not 0 < t_end < math.inf:
         raise DomainError(f"t_end must be finite and > 0, got {t_end!r}")
     dim = liou.spec.dim
     if rho0.matrix.shape != (dim, dim):
         raise DomainError(f"state is {rho0.matrix.shape}, generator acts on {(dim, dim)}")
 
-    sol = solve_ivp(
-        lambda t, y: liou.matrix @ y,
-        (0.0, t_end),
-        _vec(rho0.matrix),
-        method="RK45",
-        t_eval=(t_end,),  # without it every accepted state is kept
-        rtol=_EVOLVE_TOL,
-        atol=_EVOLVE_TOL * 1e-4,
-    )
-    if not sol.success:
-        raise StiffnessError(f"evolution failed: {sol.message}")
-    s = _unvec(sol.y[:, -1], dim)
+    s = _unvec(_integrate(lambda t, y: liou.matrix @ y, _vec(rho0.matrix), (t_end,))[:, 0], dim)
     herm_drift = float(np.max(np.abs(s - s.conj().T)))
     trace_drift = float(abs(s.trace() - 1.0))
     log.debug("evolve: herm drift %.3e, trace drift %.3e", herm_drift, trace_drift)
@@ -597,24 +596,23 @@ def trace_distance(r1, r2) -> float:
 def rwa_error_probe(sys: SystemParams, spec: HilbertSpec, omega_sum: float) -> float:
     """Size of the dropped counter-rotating terms at carrier scale omega_sum.
 
-    Evolves the vacuum under the plain generator and under the generator
-    with the fast terms reinstated,
+    Evolves the vacuum with ``_integrate`` under the plain generator and
+    under the generator with the fast terms reinstated,
 
         H_cr(t) = e^{-i omega_sum t} X + e^{+i omega_sum t} X^dag,
         X = -lam a b + g sigma_- b,
 
-    and returns the largest trace distance between the two states over
-    t in [0, _PROBE_T_END] (2.0).  The distance shrinks as omega_sum grows
-    (first-order averaging).  Step underflow at extreme omega_sum is
-    reported as a warning, not an error, and the scan up to that point is
-    used.
+    and returns the largest trace distance between the two states at
+    _PROBE_SAMPLES (81) even times in [0, _PROBE_T_END] (2.0).  The distance
+    shrinks as omega_sum grows (first-order averaging).  The steps follow
+    the carrier period, so the cost grows about linearly with omega_sum; a
+    failed integration is a StiffnessError.
     """
     import scipy.sparse as sp
-    from scipy.integrate import solve_ivp
 
     if not 0 < omega_sum < math.inf:
         raise DomainError(f"omega_sum must be finite and > 0, got {omega_sum!r}")
-    liou = build_liouvillian(sys, spec)
+    lmat = build_liouvillian(sys, spec).matrix
     ops = build_operators(spec)
     x = (-sys.lam * (ops.a @ ops.b) + sys.g * (ops.sigma_minus @ ops.b)).tocsr()
     s_lo, s_hi = (  # -i(S(X, I) - S(I, X)), S(A, B) = kron(B^T, A)
@@ -622,33 +620,11 @@ def rwa_error_probe(sys: SystemParams, spec: HilbertSpec, omega_sum: float) -> f
         for op in (x, x.conj().T)
     )
 
-    n2 = spec.dim**2
-    lmat = liou.matrix
-    v0 = _vec(vacuum_state(spec).matrix)
-    w0 = np.concatenate([v0, v0])
-
-    def deriv(t, w):
-        plain, full = w[:n2], w[n2:]
+    def full(t, y):
         ph = np.exp(-1j * omega_sum * t)
-        out = np.empty_like(w)
-        out[:n2] = lmat @ plain
-        out[n2:] = lmat @ full + ph * (s_lo @ full) + np.conj(ph) * (s_hi @ full)
-        return out
+        return lmat @ y + ph * (s_lo @ y) + np.conj(ph) * (s_hi @ y)
 
-    sol = solve_ivp(
-        deriv,
-        (0.0, _PROBE_T_END),
-        w0,
-        method="RK45",
-        t_eval=np.linspace(0.0, _PROBE_T_END, _PROBE_SAMPLES),
-        rtol=_PROBE_TOL,
-        atol=_PROBE_TOL * 1e-3,
-    )
-    if not sol.success:
-        warnings.warn(
-            f"probe integration stopped early ({sol.message}); "
-            "using the partial scan",
-            stacklevel=2,
-        )
-    pairs = ((_unvec(w[:n2], spec.dim), _unvec(w[n2:], spec.dim)) for w in sol.y.T)
-    return max((trace_distance(*pair) for pair in pairs), default=0.0)
+    v0 = _vec(vacuum_state(spec).matrix)
+    times = np.linspace(0.0, _PROBE_T_END, _PROBE_SAMPLES)
+    pairs = zip(_integrate(lambda t, y: lmat @ y, v0, times).T, _integrate(full, v0, times).T)
+    return max(trace_distance(_unvec(p, spec.dim), _unvec(f, spec.dim)) for p, f in pairs)

@@ -140,6 +140,7 @@ def quantum_expectations(systems, spec: HilbertSpec, operators) -> np.ndarray:
     A failure at any point cancels the points not yet started and is
     re-raised with its detuning attached.
     """
+    workers = worker_count()  # a bad NIT_SIM_THREADS fails before any assembly
     if not systems:
         return np.empty((len(operators), 0), dtype=complex)
     base = replace(systems[0], delta_p=0.0)
@@ -171,7 +172,7 @@ def quantum_expectations(systems, spec: HilbertSpec, operators) -> np.ndarray:
         except NumericalError as exc:
             raise exc.__class__(f"at delta_p={d!r}: {exc}") from exc
 
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(solve_point, tasks))
     return np.array(out, dtype=complex).T
 

@@ -24,7 +24,7 @@ _END = ' text-anchor="end"'
 def _nice_step(span: float, target: int = 6) -> float:
     raw = span / target
     mag = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
+    for mult in (1.0, 2.0, 2.5, 5.0):
         if mult * mag >= raw:
             return mult * mag
     return 10.0 * mag

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import nit_sim
-from nit_sim import cli, config, meanfield
+from nit_sim import cli, config, meanfield, svgplot
 from nit_sim.cli import main
 from nit_sim.config import parse_config
 
@@ -210,6 +210,13 @@ class TestSweepCommand:
         code, out = run_cli(tmp_path, text, "sweep", *extra)
         assert code == 0
         assert hashlib.sha256((out / "spectrum.svg").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "span, step", [(6.0, 1.0), (9.0, 2.0), (13.2, 2.5), (24.0, 5.0), (42.0, 10.0), (0.42, 0.1)]
+    )
+    def test_tick_step_is_the_first_nice_step_of_a_sixth(self, span, step):
+        # the smallest of 1, 2, 2.5, 5 and 10 times a power of ten that is >= span / 6
+        assert svgplot._nice_step(span) == pytest.approx(step, rel=1e-12)
 
     def test_quantum_sweep_records_its_truncation(self, tmp_path, capsys):
         text = QUANTUM_SWEEP_CFG.replace("n_points = 3", "n_points = 5")
@@ -466,9 +473,10 @@ class TestFailureModes:
                              .replace("gamma_phi = 1e-3", "gamma_phi = 0") \
                              .replace("lambda = 0.5", "lambda = 0") \
                              .replace("g = 0.5", "g = 0")
-        code, _ = run_cli(tmp_path, undamped, "steady")
+        code, out = run_cli(tmp_path, undamped, "steady")
         assert code == 3
         assert "numerical error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_failed_validation_exit_code(self, tmp_path, capsys):
         # eps = 0.3 overfills the (3, 3) truncation: quantum and closure fail
@@ -497,6 +505,25 @@ class TestFailureModes:
     def test_unknown_format_override(self, tmp_path):
         code, _ = run_cli(tmp_path, SWEEP_CFG, "sweep", "--format", "bmp")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "text, threads, message",
+        [
+            (SWEEP_CFG.replace("n_points = 201", "n_points = 5\nbackend = meanfield")
+             .replace("kappa_b = 1e-3", "kappa_b = 0"), "1", "strict damping"),
+            (QUANTUM_SWEEP_CFG, "0", "NIT_SIM_THREADS"),
+        ],
+        ids=["meanfield-undamped-mechanics", "quantum-zero-threads"],
+    )
+    def test_failed_run_leaves_no_output_directory(
+        self, tmp_path, monkeypatch, capsys, text, threads, message
+    ):
+        # the directory was once made before the command ran, and left empty
+        monkeypatch.setenv("NIT_SIM_THREADS", threads)
+        code, out = run_cli(tmp_path, text, "sweep")
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nested_output_directory_is_created(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"

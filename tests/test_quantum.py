@@ -5,6 +5,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from nit_sim import (
     HilbertSpec,
     Liouvillian,
     SolverError,
+    StiffnessError,
     SystemParams,
     ZERO_STATE,
     build_hamiltonian,
@@ -793,6 +795,27 @@ def test_horizon_must_be_finite_and_positive(entry, horizon):
     reject."""
     with pytest.raises(DomainError, match=f"={horizon!r}|got {horizon!r}"):
         _HORIZONS[entry](horizon)
+
+
+_INTEGRATIONS = {
+    "evolve": lambda: evolve(
+        vacuum_state(SPEC22), build_liouvillian(weak_drive_system(), SPEC22), t_end=1.0
+    ),
+    "rwa_error_probe": lambda: rwa_error_probe(weak_drive_system(), SPEC22, omega_sum=10.0),
+}
+
+
+@pytest.mark.parametrize("entry", list(_INTEGRATIONS))
+def test_failed_integration_is_a_stiffness_error(entry, monkeypatch):
+    """Both time evolutions fail alike, with scipy's message; the probe once
+    warned and returned the distance over the states it had reached."""
+    import scipy.integrate
+
+    message = "Required step size is less than spacing between numbers."
+    failed = SimpleNamespace(success=False, message=message)
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", lambda *args, **kwargs: failed)
+    with pytest.raises(StiffnessError, match=message):
+        _INTEGRATIONS[entry]()
 
 
 class TestCounterRotatingProbe:

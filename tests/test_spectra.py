@@ -83,6 +83,18 @@ class TestWorkerCount:
         with pytest.raises(ConfigError):
             worker_count()
 
+    def test_read_before_the_generator_is_built(self, monkeypatch):
+        # a bad count once surfaced only after the generator was assembled
+        monkeypatch.setenv("NIT_SIM_THREADS", "0")
+        monkeypatch.setattr(spectra, "build_liouvillian", unselected_build)
+        spec = HilbertSpec(2, 2)
+        with pytest.raises(ConfigError, match="NIT_SIM_THREADS"):
+            quantum_expectations([weak_drive_system()], spec, [build_operators(spec).a])
+
+
+def unselected_build(*args, **kwargs):
+    raise AssertionError("assembled a generator before reading NIT_SIM_THREADS")
+
 
 class TestSweep:
     def test_config_validation(self):
