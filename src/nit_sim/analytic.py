@@ -18,9 +18,10 @@ decoupled driven mode a positive Lorentzian of height 2|eps|/kappa_a.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
-from .errors import SingularityError
+from .errors import DomainError, SingularityError
 from .model import SystemParams
 
 #: |D| below this is treated as an exact pole.
@@ -63,16 +64,22 @@ def steady_state(sys: SystemParams) -> SteadyState:
     """Closed-form stationary amplitudes at the detuning stored in ``sys``.
 
     Raises SingularityError when |D| underflows the floor, which can only
-    happen when every damping rate vanishes.
+    happen when every damping rate vanishes, and DomainError when D or an
+    amplitude overflows a double (Da*Db*Dq does past |delta_p| ~ 5.6e102).
     """
     d = effective_detunings(sys)
     lam, g, eps = sys.lam, sys.g, sys.epsilon
     denom = g * g * d.a + lam * lam * d.q - d.a * d.b * d.q
+    if not cmath.isfinite(denom):
+        raise DomainError(f"response denominator overflows at delta_p={sys.delta_p!r}")
     if abs(denom) < DENOMINATOR_FLOOR:
         raise SingularityError(sys.delta_p)
-    return SteadyState(
+    ss = SteadyState(
         a=eps * (d.b * d.q - g * g) / denom,
         b=eps * lam * d.q / denom,
         sigma_minus=-eps * lam * g / denom,
         delta_p=sys.delta_p,
     )
+    if not all(cmath.isfinite(z) for z in (ss.a, ss.b, ss.sigma_minus)):
+        raise DomainError(f"steady-state amplitudes overflow at delta_p={sys.delta_p!r}")
+    return ss

@@ -114,8 +114,9 @@ def _json_text(payload: dict) -> str:
 
 # Each handler returns (run.json payload, passed, outputs): outputs maps every
 # file the command can produce, in write order, to a JSON dict or to a
-# zero-argument callable that builds its text; `main` builds and writes the
-# files whose extension is a selected format.
+# zero-argument callable that builds its text.  `main` builds the text of each
+# file whose extension is a selected format before it makes the output
+# directory, so a command or a builder that fails leaves no directory behind.
 
 
 def _cmd_steady(cfg: RunConfig) -> tuple[dict, bool, dict]:
@@ -328,12 +329,14 @@ def main(argv: list[str] | None = None) -> int:
         files: list[str] = []
         start = time.perf_counter()
         payload, ok, outputs = _DISPATCH[cfg.command](cfg)
-        outdir = Path(cfg.output_dir)  # made only once the command has run
+        texts = {
+            name: body() if callable(body) else _json_text(body)
+            for name, body in outputs.items() if Path(name).suffix[1:] in cfg.formats
+        }
+        outdir = Path(cfg.output_dir)
         outdir.mkdir(parents=True, exist_ok=True)
-        for name, body in outputs.items():
-            if Path(name).suffix[1:] in cfg.formats:
-                text = body() if callable(body) else _json_text(body)
-                _write_text(outdir, name, text, files)
+        for name, text in texts.items():
+            _write_text(outdir, name, text, files)
         run_meta = {
             "tool": "nit-sim",
             "version": __version__,

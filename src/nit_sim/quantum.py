@@ -311,12 +311,14 @@ def _build_pieces(matrix: sp.csr_matrix, spec: HilbertSpec) -> _Pieces:
     is block diagonal in m, and in (n1 + n2, n1) order block triangular: LU
     in that natural order fills in only inside the (n1, n2) blocks.  Inside
     a manifold the states run by (n_b, qubit), where a b^dag and sigma_+ b
-    couple near neighbours, so each block's LU stays banded.  The unknowns
-    run m = 0, then m > 0, each in that order (|i><j| by j, then i), then
-    the vec-transpose |j><i| of each m > 0 unknown.  D vanishes at m = 0, so
-    that block (``lu0``) is factored once per generator.  L preserves
-    hermiticity, so the vec-transpose maps L + shift*D onto its conjugate
-    and m onto -m: the m < 0 run is solved with the conjugated m > 0 factor.
+    couple near neighbours, so each block's LU stays banded.  One key sorts
+    the entries, in priority order: the run (m = 0, m > 0, m < 0), n1 + n2,
+    n1, (n_b, qubit) of j, (n_b, qubit) of i, an m < 0 entry taking the key
+    of its vec-transpose |j><i|.  The vacuum comes first, and the m < 0 run
+    is the m > 0 run transposed.  D vanishes at m = 0, so that block
+    (``lu0``) is factored once per generator.  L preserves hermiticity, so
+    the vec-transpose maps L + shift*D onto its conjugate and m onto -m:
+    the m < 0 run is solved with the conjugated m > 0 factor.
     rho[0, 0] = 1 replaces the vacuum row (redundant by trace preservation)
     and unknown; the vacuum column becomes the source.
     """
@@ -325,21 +327,17 @@ def _build_pieces(matrix: sp.csr_matrix, spec: HilbertSpec) -> _Pieces:
 
     q, na, nb = np.indices((2, spec.n_a, spec.n_b)).reshape(3, -1)
     n = q + na + nb
-    n1, n2 = np.tile(n, spec.dim), np.repeat(n, spec.dim)
-    coherence = n1 - n2
-    within = np.empty_like(n)  # each state's place in (n, n_b, qubit) order
-    within[np.lexsort((q, nb, n))] = np.arange(spec.dim)
-    ties = np.add.outer(spec.dim * within, within).ravel()  # vec order: j, then i
-    exc = np.lexsort((ties, n1, n1 + n2))[1:]  # the vacuum alone has n1 + n2 = 0
-    zero, plus = exc[coherence[exc] == 0], exc[coherence[exc] > 0]
-    minus = plus % spec.dim * spec.dim + plus // spec.dim  # |i><j| -> |j><i|
-    order = np.concatenate(([0], zero, plus, minus))
-    k0, k1 = zero.size, zero.size + plus.size
+    j, i = np.indices((spec.dim, spec.dim)).reshape(2, -1)  # |i><j| at vec index j*dim + i
+    coherence = n[i] - n[j]
+    run = np.sign(coherence) % 3  # 0 for m = 0, 1 for m > 0, 2 for m < 0
+    i, j = np.where(coherence < 0, j, i), np.where(coherence < 0, i, j)  # keys of |j><i|
+    order = np.lexsort((q[i], nb[i], q[j], nb[j], n[i], n[i] + n[j], run))  # last key first
+    k0, k1 = (np.cumsum(np.bincount(run))[:2] - 1).tolist()  # the vacuum is no unknown
 
     at = sp.csr_matrix((np.arange(matrix.nnz), matrix.indices, matrix.indptr))
     a = at[order[1:]][:, order[1:]]  # positions in L.data of the unknowns' entries
     a.sort_indices()
-    rhs = -matrix[order[1:]][:, [0]].toarray().ravel()  # minus the vacuum column
+    rhs = -matrix[:, [0]].toarray().ravel()[order[1:]]  # minus the vacuum column
     rows = np.repeat(np.arange(order.size), np.diff(matrix.indptr))
     diag = np.flatnonzero(rows == matrix.indices)
     same = (coherence[rows] == coherence[matrix.indices])[a.data]

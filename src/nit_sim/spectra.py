@@ -65,6 +65,8 @@ class SweepConfig:
             raise DomainError(f"grid bounds must be finite, got {bounds}")
         if not self.delta_min < self.delta_max:
             raise DomainError(f"need delta_min < delta_max, got {bounds}")
+        if not math.isfinite(self.delta_max - self.delta_min):
+            raise DomainError(f"grid span delta_max - delta_min overflows, got {bounds}")
         if not isinstance(self.n_points, numbers.Integral):
             raise DomainError(f"n_points must be an integer, got {self.n_points!r}")
         if self.n_points < 2:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 
+from .errors import DomainError
 from .spectra import Spectrum
 
 _W, _H = 720, 480
@@ -22,7 +23,11 @@ _END = ' text-anchor="end"'
 
 
 def _nice_step(span: float, target: int = 6) -> float:
+    """The smallest of 1, 2, 2.5, 5 and 10 times a power of ten that is >=
+    span / target, or 0.0 where that power of ten is no positive double."""
     raw = span / target
+    if not 0.0 < raw < math.inf:
+        return 0.0
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0):
         if mult * mag >= raw:
@@ -32,6 +37,8 @@ def _nice_step(span: float, target: int = 6) -> float:
 
 def _ticks(lo: float, hi: float) -> list[float]:
     step = _nice_step(hi - lo)
+    if not step:
+        raise DomainError(f"plot range [{lo!r}, {hi!r}] is too narrow to tick")
     i0 = math.ceil(lo / step - 1e-9)
     i1 = math.floor(hi / step + 1e-9)
     return [i * step for i in range(i0, i1 + 1) if lo <= i * step <= hi]
@@ -61,7 +68,10 @@ def _text(x, y, size, body, attrs="") -> str:
 
 
 def emit_svg(spectrum: Spectrum) -> str:
-    """Render the spectrum; returns the SVG document as a string."""
+    """Render the spectrum; returns the SVG document as a string.
+
+    A plot range that overflows a double once padded, or is too narrow for
+    a tick step, is a DomainError."""
     d = spectrum.detunings
     xlo, xhi = float(d[0]), float(d[-1])
     ylo = min(float(spectrum.a_re.min()), float(spectrum.absorption.min()))
@@ -69,6 +79,8 @@ def emit_svg(spectrum: Spectrum) -> str:
     if yhi == ylo:
         yhi = ylo + 1.0
     pad = 0.05 * (yhi - ylo)
+    if not math.isfinite((yhi + pad) - (ylo - pad)):
+        raise DomainError(f"plot range [{ylo!r}, {yhi!r}] overflows once padded by 5%")
     ylo, yhi = ylo - pad, yhi + pad
 
     px_w = _W - _ML - _MR

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from nit_sim import (
+    DomainError,
     SingularityError,
     SystemParams,
     effective_detunings,
@@ -187,3 +189,22 @@ class TestSingularity:
     def test_any_damping_keeps_it_finite(self):
         sys = matched_system(kappa_b=0.0, gamma=0.0, gamma_phi=0.0)
         assert abs(steady_state(sys).a) < 1.0
+
+
+class TestOverflow:
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(delta_p=6e102), dict(delta_p=-1e200), dict(epsilon=1e308)],
+        ids=["denominator", "far-detuning", "drive"],
+    )
+    def test_what_a_double_cannot_hold_is_a_domain_error(self, overrides):
+        # once -0+0j past |delta_p| ~ 5.6e102, nan+nanj further out, and inf
+        sys = matched_system(**overrides)
+        where = re.escape(repr(sys.delta_p))
+        with pytest.raises(DomainError, match=rf"overflows? at delta_p={where}$"):
+            steady_state(sys)
+
+    def test_far_tail_just_inside_the_range(self):
+        # <a> -> -eps / delta_p once the detuning dwarfs every coupling
+        ss = steady_state(matched_system(delta_p=5e102))
+        assert ss.a == pytest.approx(-0.03 / 5e102, rel=1e-12)

@@ -5,18 +5,22 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
+import math
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nit_sim
-from nit_sim import cli, config, meanfield, svgplot
+from nit_sim import DomainError, cli, config, meanfield, svgplot
 from nit_sim.cli import main
 from nit_sim.config import parse_config
 
@@ -217,6 +221,12 @@ class TestSweepCommand:
     def test_tick_step_is_the_first_nice_step_of_a_sixth(self, span, step):
         # the smallest of 1, 2, 2.5, 5 and 10 times a power of ten that is >= span / 6
         assert svgplot._nice_step(span) == pytest.approx(step, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-323, 5e-324, 0.0], ids=["tiny", "least", "zero"])
+    def test_range_too_narrow_to_tick_is_a_domain_error(self, scale):
+        # the sixth of the span once underflowed to a zero tick step or log10(0)
+        with pytest.raises(DomainError, match="too narrow to tick"):
+            svgplot._ticks(0.0, scale * 6.0)
 
     def test_quantum_sweep_records_its_truncation(self, tmp_path, capsys):
         text = QUANTUM_SWEEP_CFG.replace("n_points = 3", "n_points = 5")
@@ -525,12 +535,135 @@ class TestFailureModes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "lo, hi, formats",
+        [("-1e308", "1e308", "csv"), ("-1e308", "1e308", "csv,svg"), ("-1e308", "1.5e308", "csv")],
+        ids=["csv", "svg", "nan-grid"],
+    )
+    def test_grid_span_that_overflows_is_a_config_error(
+        self, tmp_path, capsys, lo, hi, formats
+    ):
+        # once csv rows of nan, an OverflowError in the svg ticks, or a
+        # "delta_p must be finite, got nan" the user never typed
+        text = SWEEP_CFG.replace("delta_min = -1.5", f"delta_min = {lo}") \
+                        .replace("delta_max = 1.5", f"delta_max = {hi}")
+        code, out = run_cli(tmp_path, text, "sweep", "--format", formats)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [sweep]: grid span")
+        assert repr(float(lo)) in err and repr(float(hi)) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("steady", STEADY_CFG.replace("epsilon = 0.03", "epsilon = 0.03\ndelta_p = 1e200")),
+            ("sweep", SWEEP_CFG.replace("delta_min = -1.5", "delta_min = -1e103")
+             .replace("delta_max = 1.5", "delta_max = 1e103")
+             .replace("n_points = 201", "n_points = 5")),
+            ("sweep", SWEEP_CFG.replace("epsilon = 0.03", "epsilon = 1e308")),
+            ("validate", VALIDATE_CFG.replace("[validate]\n", "[validate]\ndelta_min = -1e103\n"
+                                              "delta_max = 1e103\n")),
+        ],
+        ids=["steady", "sweep-detuning", "sweep-drive", "validate"],
+    )
+    def test_closed_form_overflow_is_a_config_error(self, tmp_path, capsys, command, text):
+        # once nan+nanj and nulls, zeros at the grid ends, inf rows, and a
+        # mean-field relaxation failure (exit 3) in validate
+        code, out = run_cli(tmp_path, text, command, "--format", "csv,json")
+        assert code == 2
+        assert re.match(r"config error: .*overflows? at delta_p=", capsys.readouterr().err)
+        assert not out.exists()
+
+    # the bare driven mode's <a> = -eps / (delta_p - i/2) spans [-eps, 2 eps]
+    # on [-1, 1]: finite at eps = 8e307, but the padded plot range is not;
+    # eps = 1e-300 far off resonance leaves values a few least doubles apart
+    @pytest.mark.parametrize(
+        "eps, bounds, message",
+        [("8e307", ("-1", "1"), "overflows once padded"),
+         ("1e-300", ("1e23", "1e24"), "too narrow to tick")],
+        ids=["overflow", "underflow"],
+    )
+    def test_svg_that_cannot_be_drawn_leaves_no_csv(self, tmp_path, capsys, eps, bounds, message):
+        # the csv, built first, was once written before the svg writer failed
+        text = SWEEP_CFG.replace("epsilon = 0.03", f"epsilon = {eps}") \
+                        .replace("lambda = 0.5", "lambda = 0").replace("g = 0.5", "g = 0") \
+                        .replace("delta_min = -1.5", f"delta_min = {bounds[0]}") \
+                        .replace("delta_max = 1.5", f"delta_max = {bounds[1]}")
+        code, out = run_cli(tmp_path / "svg", text, "sweep", "--format", "csv,svg")
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        code, out = run_cli(tmp_path / "csv", text, "sweep", "--format", "csv")
+        assert code == 0
+        rows = [row.split(",") for row in csv_rows(out / "spectrum.csv")[1:]]
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+    def test_failed_factorization_exits_3_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # a factorization that fails for any reason but singularity: every
+        # point falls back to LU, which cannot proceed either
+        import scipy.sparse.linalg as spla
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("not enough memory")
+
+        monkeypatch.setattr(spla, "splu", failing)
+        code, out = run_cli(tmp_path, QUANTUM_SWEEP_CFG, "sweep")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: at delta_p=")
+        assert "steady-state factorization failed: not enough memory" in err
+        assert not out.exists()
+
     def test_nested_output_directory_is_created(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(STEADY_CFG, encoding="utf-8")
         deep = tmp_path / "a" / "b" / "c"
         assert main(["steady", "--config", str(cfg_file), "--out", str(deep)]) == 0
         assert (deep / "run.json").exists()
+
+
+# a magnitude 10^x with x uniform in [-323, 308], of either sign: from the
+# least subnormal double up to 1e308
+_LOG_UNIFORM = st.builds(
+    lambda sign, x: sign * 10.0**x, st.sampled_from((-1.0, 1.0)), st.floats(-323.0, 308.0)
+)
+
+
+@st.composite
+def closed_form_runs(draw) -> tuple[str, str, str]:
+    """(command, config text, formats): a steady run, or an analytic sweep."""
+    system = SYSTEM_BLOCK.replace("epsilon = 0.03", f"epsilon = {draw(_LOG_UNIFORM)!r}")
+    if draw(st.booleans()):
+        text = f"[run]\ncommand = steady\n\n{system}delta_p = {draw(_LOG_UNIFORM)!r}\n"
+        return "steady", text, "csv,json"
+    lo, hi = sorted(draw(st.lists(_LOG_UNIFORM, min_size=2, max_size=2, unique=True)))
+    grid = f"delta_min = {lo!r}\ndelta_max = {hi!r}\nn_points = {draw(st.integers(2, 61))}\n"
+    return "sweep", f"[run]\ncommand = sweep\n\n{system}\n[sweep]\n{grid}", "csv,json,svg"
+
+
+class TestNoTraceback:
+    @settings(max_examples=300, deadline=None)
+    @given(run=closed_form_runs())
+    def test_every_closed_form_config_ends_in_a_documented_exit(self, run):
+        """Exit 0, 2 or 3 and nothing raised; a failed run leaves no output
+        directory, and a run that passes lists exactly the files it wrote,
+        with every amplitude finite."""
+        command, text, formats = run
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            code, out = run_cli(Path(tmp), text, command, "--format", formats)
+            assert code in (0, 2, 3)
+            if code:
+                assert not out.exists()
+                return
+            listed = json.loads((out / "run.json").read_text())["outputs"]
+            assert sorted(p.name for p in out.iterdir()) == sorted([*listed, "run.json"])
+            if command == "steady":
+                values = list(json.loads((out / "steady.json").read_text()).values())
+            else:
+                values = [v for row in csv_rows(out / "spectrum.csv")[1:] for v in row.split(",")]
+            assert all(v is not None and math.isfinite(float(v)) for v in values)
 
 
 _SCIPY_PROBE = """\

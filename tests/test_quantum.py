@@ -233,8 +233,24 @@ class TestHamiltonian:
                     got = h[idx(SPEC44, q, na, nb), idx(SPEC44, q, na, nb)].real
                     assert got == pytest.approx(want, abs=1e-15)
 
+    def test_non_hermitian_assembly_is_a_solver_error(self, monkeypatch):
+        # a sigma_z with an imaginary diagonal makes (Dq/2) sz anti-hermitian in part
+        ops = build_operators(SPEC22)
+        broken = replace(ops, sigma_z=ops.sigma_z * (1.0 + 0.5j))
+        monkeypatch.setattr(quantum, "build_operators", lambda spec: broken)
+        with pytest.raises(SolverError, match="not hermitian: defect"):
+            build_hamiltonian(weak_drive_system(delta_p=0.3), SPEC22)
+
 
 class TestLiouvillian:
+    def test_generator_that_loses_trace_is_a_solver_error(self, monkeypatch):
+        # an anti-hermitian part of H, let through unchecked, drains the trace
+        h = build_hamiltonian(weak_drive_system(), SPEC22)
+        leaky = h + 0.1j * build_operators(SPEC22).identity
+        monkeypatch.setattr(quantum, "build_hamiltonian", lambda sys, spec: leaky)
+        with pytest.raises(SolverError, match="does not preserve trace: defect"):
+            build_liouvillian(weak_drive_system(), SPEC22)
+
     def test_trace_preservation(self):
         liou = build_liouvillian(weak_drive_system(), SPEC44)
         trace = np.eye(SPEC44.dim).ravel(order="F")
@@ -679,6 +695,40 @@ class TestSteadyState:
             with pytest.raises(DegenerateSteadyStateError):
                 steady_state_dm(build_liouvillian(lossy_mode_system(), SPEC22))
         assert not caplog.records  # a singular preconditioner is no BiCGSTAB miss
+
+    def test_singular_point_factor_goes_to_lu_without_a_warning(self, monkeypatch, caplog):
+        # the m = 0 factor is made before the patch; the m > 0 factor of the
+        # point is then singular, and LU solves the point from scratch
+        import scipy.sparse.linalg as spla
+
+        liou = build_liouvillian(weak_drive_system(), SPEC44)
+        assert liou.pieces.lu0 is not None
+        splu = spla.splu
+
+        def natural_singular(m, permc_spec=None, **kwargs):
+            if permc_spec == "NATURAL":
+                raise RuntimeError("Factor is exactly singular")
+            return splu(m, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", natural_singular)
+        info: dict = {}
+        with caplog.at_level(logging.WARNING, logger="nit_sim.quantum"):
+            rho = steady_state_dm(liou, info=info)
+        assert (info["route"], info["iterations"]) == ("lu", 0)
+        assert info["residual"] <= info["threshold"]
+        assert not caplog.records
+        assert rho.matrix.shape == (SPEC44.dim, SPEC44.dim)
+
+    def test_factorization_failure_other_than_singular_is_a_solver_error(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("not enough memory")
+
+        monkeypatch.setattr(spla, "splu", failing)
+        liou = build_liouvillian(weak_drive_system(), SPEC22)
+        with pytest.raises(SolverError, match="factorization failed: not enough memory"):
+            steady_state_dm(liou)
 
 
 class TestEvolve:

@@ -109,6 +109,9 @@ class TestSweep:
         for lo, hi in [(-math.inf, 1.0), (-1.0, math.inf), (math.nan, 1.0)]:
             with pytest.raises(DomainError, match="finite"):
                 SweepConfig(matched_system(), lo, hi, 5)
+        with pytest.raises(DomainError, match=r"grid span .* got \[-1e\+308, 1\.5e\+308\]"):
+            SweepConfig(matched_system(), -1e308, 1.5e308, 5)  # finite bounds, infinite span
+        assert SweepConfig(matched_system(), -1e308, 7e307, 5).n_points == 5
         assert SweepConfig(matched_system(), -1.0, 1.0, np.int64(5)).n_points == 5
 
     def test_arrays_are_frozen(self):
