@@ -19,6 +19,7 @@ decoupled driven mode a positive Lorentzian of height 2|eps|/kappa_a.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError, SingularityError
@@ -66,6 +67,9 @@ def steady_state(sys: SystemParams) -> SteadyState:
     Raises SingularityError when |D| underflows the floor, which can only
     happen when every damping rate vanishes, and DomainError when D or an
     amplitude overflows a double (Da*Db*Dq does past |delta_p| ~ 5.6e102).
+    An amplitude whose product eps * numerator overflows but which itself
+    fits a double is computed again from a rescaled eps; every other
+    amplitude is the plain expression's.
     """
     d = effective_detunings(sys)
     lam, g, eps = sys.lam, sys.g, sys.epsilon
@@ -74,12 +78,25 @@ def steady_state(sys: SystemParams) -> SteadyState:
         raise DomainError(f"response denominator overflows at delta_p={sys.delta_p!r}")
     if abs(denom) < DENOMINATOR_FLOOR:
         raise SingularityError(sys.delta_p)
-    ss = SteadyState(
-        a=eps * (d.b * d.q - g * g) / denom,
-        b=eps * lam * d.q / denom,
-        sigma_minus=-eps * lam * g / denom,
-        delta_p=sys.delta_p,
-    )
-    if not all(cmath.isfinite(z) for z in (ss.a, ss.b, ss.sigma_minus)):
-        raise DomainError(f"steady-state amplitudes overflow at delta_p={sys.delta_p!r}")
-    return ss
+
+    def amplitudes(drive: complex) -> tuple[complex, complex, complex]:
+        return (
+            drive * (d.b * d.q - g * g) / denom,
+            drive * lam * d.q / denom,
+            -drive * lam * g / denom,
+        )
+
+    amps = amplitudes(eps)
+    if not all(cmath.isfinite(z) for z in amps):
+        # eps times a numerator can overflow where the amplitude fits a
+        # double: redo only those with eps scaled by 2^-e into [0.5, 1), and
+        # scale back in two exact steps (2^e alone overflows at e = 1024)
+        e = math.frexp(max(abs(eps.real), abs(eps.imag)))[1]
+        unit = complex(math.ldexp(eps.real, -e), math.ldexp(eps.imag, -e))
+        amps = tuple(
+            z if cmath.isfinite(z) else u * 2.0 ** (e // 2) * 2.0 ** (e - e // 2)
+            for z, u in zip(amps, amplitudes(unit))
+        )
+        if not all(cmath.isfinite(z) for z in amps):
+            raise DomainError(f"steady-state amplitudes overflow at delta_p={sys.delta_p!r}")
+    return SteadyState(*amps, delta_p=sys.delta_p)

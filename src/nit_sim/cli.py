@@ -26,8 +26,7 @@ import sys
 import time
 from dataclasses import asdict, fields, replace
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .analytic import steady_state
@@ -40,21 +39,13 @@ from .config import (
     render_config,
 )
 from .errors import ConfigError, DomainError, NumericalError
-from .meanfield import INTEGRATE_ABS_TOL, INTEGRATE_REL_TOL, ZERO_STATE, integrate
 from .model import PhysicalParams, derive_lambda, lamb_dicke
-from .quantum import build_operators
-from .spectra import (
-    MIN_WINDOW_POINTS,
-    SweepConfig,
-    analyze_windows,
-    csv_text,
-    quantum_expectations,
-    stationary_a,
-    sweep as run_sweep,
-    to_csv_text,
-)
-from .spectra import dephasing_scan as run_dephasing_scan
 from .svgplot import emit_svg
+
+# numpy, meanfield, quantum and spectra are imported by the handlers that
+# run them, so `steady` and `derive-coupling` start without numpy
+if TYPE_CHECKING:
+    from .spectra import SweepConfig
 
 MEANFIELD_ABS_TOL = 1e-6
 QUANTUM_REL_TOL = 0.02
@@ -135,7 +126,9 @@ def _cmd_steady(cfg: RunConfig) -> tuple[dict, bool, dict]:
 
 
 def _cmd_sweep(cfg: RunConfig) -> tuple[dict, bool, dict]:
-    spectrum = run_sweep(cfg.sweep)
+    from .spectra import MIN_WINDOW_POINTS, analyze_windows, sweep, to_csv_text
+
+    spectrum = sweep(cfg.sweep)
     payload: dict = {"sweep": {"backend": spectrum.backend, **_grid_fields(cfg.sweep)}}
     if cfg.sweep.quantum_spec is not None:
         payload["sweep"].update(asdict(cfg.sweep.quantum_spec))
@@ -160,6 +153,9 @@ def _cmd_sweep(cfg: RunConfig) -> tuple[dict, bool, dict]:
 
 
 def _cmd_evolve(cfg: RunConfig) -> tuple[dict, bool, dict]:
+    from .meanfield import INTEGRATE_ABS_TOL, INTEGRATE_REL_TOL, ZERO_STATE, integrate
+    from .spectra import csv_text
+
     ev = cfg.evolve
     traj = integrate(ZERO_STATE, cfg.system, ev.t_end)
     final = traj[-1]
@@ -183,6 +179,11 @@ def _cmd_evolve(cfg: RunConfig) -> tuple[dict, bool, dict]:
 
 
 def _cmd_validate(cfg: RunConfig) -> tuple[dict, bool, dict]:
+    import numpy as np
+
+    from .quantum import build_operators
+    from .spectra import quantum_expectations, stationary_a
+
     v = cfg.validate
     spec = v.quantum_spec
     _, systems = v.points()
@@ -263,8 +264,12 @@ def _cmd_derive_coupling(cfg: RunConfig) -> tuple[dict, bool, dict]:
 
 
 def _cmd_dephasing_scan(cfg: RunConfig) -> tuple[dict, bool, dict]:
+    import numpy as np
+
+    from .spectra import csv_text, dephasing_scan
+
     values = np.asarray(cfg.dephasing, dtype=float)
-    heights = run_dephasing_scan(cfg.system, values)
+    heights = dephasing_scan(cfg.system, values)
     print("central absorption vs dephasing (delta_p = 0)")
     for gph, h in zip(values, heights):
         print(f"  gamma_phi = {gph:<12g} absorption = {h:.12g}")

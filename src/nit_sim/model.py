@@ -9,6 +9,10 @@ Two parameter layers:
   trap/resonator frequencies) from which the electrostatic coupling and the
   sideband coupling are derived.
 
+It also holds what a config names without running a backend: the backend
+names and the master-equation truncation :class:`HilbertSpec`.  Neither
+this module nor ``analytic`` imports numpy.
+
 Convention: every frequency-like quantity is an angular frequency.  Reported
 magnitudes quoted as plain kHz/MHz are multiplied by 2*pi on ingestion.
 """
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, fields, replace
 
@@ -28,6 +33,8 @@ _K_C = 8987551786.170797     # Coulomb constant 1/(4 pi eps0), N m^2 C^-2
 _HBAR = 1.0545718176461565e-34  # J s
 
 LAMB_DICKE_WARN = 0.1
+BACKENDS = ("analytic", "meanfield", "quantum")
+DIM2_CAP = 250_000  # superoperator dimension dim^2
 
 
 @dataclass(frozen=True)
@@ -67,6 +74,32 @@ class SystemParams:
     def kappa_q(self) -> float:
         """Qubit coherence linewidth, 2*gamma_phi + gamma.  Never stored."""
         return 2.0 * self.gamma_phi + self.gamma
+
+
+@dataclass(frozen=True)
+class HilbertSpec:
+    """Truncation of the two bosonic modes; total dim = 2 * n_a * n_b."""
+
+    n_a: int = 5
+    n_b: int = 5
+
+    def __post_init__(self):
+        if not all(isinstance(n, numbers.Integral) for n in (self.n_a, self.n_b)):
+            raise DomainError(f"n_a, n_b must be integers, got {self.n_a!r}, {self.n_b!r}")
+        if self.n_a < 2 or self.n_b < 2:
+            raise DomainError(
+                f"need at least two Fock levels per mode, got "
+                f"n_a={self.n_a}, n_b={self.n_b}"
+            )
+        if self.dim * self.dim > DIM2_CAP:
+            raise DomainError(
+                f"superoperator dimension {self.dim}^2 = {self.dim**2} "
+                f"exceeds the cap {DIM2_CAP}"
+            )
+
+    @property
+    def dim(self) -> int:
+        return 2 * self.n_a * self.n_b
 
 
 def normalize(sys: SystemParams) -> SystemParams:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Callable
@@ -39,7 +38,9 @@ from .errors import (
     SolverError,
     StiffnessError,
 )
-from .model import SystemParams
+# HilbertSpec and DIM2_CAP live in model, so a config can name a truncation
+# without loading numpy; both stay importable from here
+from .model import DIM2_CAP, HilbertSpec, SystemParams
 
 # scipy is imported inside the functions that solve the master equation, so
 # the analytic and mean-field commands never pay for loading it.
@@ -55,36 +56,9 @@ EIG_FLOOR = -1e-8
 RESIDUAL_TOL = 1e-10
 SOLVE_RTOL = 1e-13
 SOLVE_MAXITER = 50  # BiCGSTAB iterations (two preconditioner solves each)
-DIM2_CAP = 250_000  # superoperator dimension dim^2
 _ODE_TOL = 1e-9  # evolve, rwa_error_probe: RK45 relative tolerance, absolute 1e-4 of it
 _PROBE_T_END = 2.0  # rwa_error_probe: integration horizon
 _PROBE_SAMPLES = 81  # evenly spaced times at which it compares the states
-
-
-@dataclass(frozen=True)
-class HilbertSpec:
-    """Truncation of the two bosonic modes; total dim = 2 * n_a * n_b."""
-
-    n_a: int = 5
-    n_b: int = 5
-
-    def __post_init__(self):
-        if not all(isinstance(n, numbers.Integral) for n in (self.n_a, self.n_b)):
-            raise DomainError(f"n_a, n_b must be integers, got {self.n_a!r}, {self.n_b!r}")
-        if self.n_a < 2 or self.n_b < 2:
-            raise DomainError(
-                f"need at least two Fock levels per mode, got "
-                f"n_a={self.n_a}, n_b={self.n_b}"
-            )
-        if self.dim * self.dim > DIM2_CAP:
-            raise DomainError(
-                f"superoperator dimension {self.dim}^2 = {self.dim**2} "
-                f"exceeds the cap {DIM2_CAP}"
-            )
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.n_a * self.n_b
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,9 +32,8 @@ import numpy as np
 from .analytic import steady_state
 from .errors import ConfigError, DomainError, NumericalError
 from .meanfield import relax_many
-from .model import SystemParams, normalize
+from .model import BACKENDS, HilbertSpec, SystemParams, normalize
 from .quantum import (
-    HilbertSpec,
     build_liouvillian,
     build_operators,
     expectation,
@@ -45,7 +44,6 @@ from .quantum import (
 log = logging.getLogger(__name__)
 
 CSV_HEADER = "delta_p,re_a,im_a,absorption"
-BACKENDS = ("analytic", "meanfield", "quantum")
 
 MIN_WINDOW_POINTS = 51
 
@@ -251,13 +249,27 @@ class WindowReport:
 
 
 def _refine(d: np.ndarray, a: np.ndarray, i: int) -> tuple[float, float]:
-    """Vertex of the parabola through three neighboring samples."""
-    denom = a[i - 1] - 2.0 * a[i] + a[i + 1]
-    if denom == 0.0:
-        return float(d[i]), float(a[i])
-    h = 0.5 * (d[i + 1] - d[i - 1])
-    off = 0.5 * (a[i - 1] - a[i + 1]) / denom
-    return float(d[i] + off * h), float(a[i] - 0.125 * (a[i - 1] - a[i + 1]) ** 2 / denom)
+    """Vertex of the parabola through three neighboring samples.
+
+    Where the curvature or the squared difference overflows (samples past
+    about 1e154), the vertex is found again on the samples scaled by 2^-e
+    into [0.5, 1) and its height scaled back; a vertex that comes out finite
+    the plain way keeps it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = a[i - 1] - 2.0 * a[i] + a[i + 1]
+        if denom == 0.0:
+            return float(d[i]), float(a[i])
+        h = 0.5 * (d[i + 1] - d[i - 1])
+        off = 0.5 * (a[i - 1] - a[i + 1]) / denom
+        x = float(d[i] + off * h)
+        top = float(a[i] - 0.125 * (a[i - 1] - a[i + 1]) ** 2 / denom)
+    if math.isfinite(denom) and math.isfinite(top):
+        return x, top
+    near = a[i - 1 : i + 2]
+    e = math.frexp(float(np.abs(near).max()))[1]
+    x, top = _refine(d[i - 1 : i + 2], np.ldexp(near, -e), 1)
+    with np.errstate(over="ignore"):
+        return x, float(np.ldexp(top, e))
 
 
 def _half_crossing(d, a, i_peak, half, step):

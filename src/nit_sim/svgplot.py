@@ -9,9 +9,14 @@ byte-identical files.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
-from .spectra import Spectrum
+
+# an annotation only: importing spectra would load numpy into every process
+# that imports the CLI
+if TYPE_CHECKING:
+    from .spectra import Spectrum
 
 _W, _H = 720, 480
 _ML, _MR, _MT, _MB = 72, 24, 24, 56

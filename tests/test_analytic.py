@@ -204,6 +204,29 @@ class TestOverflow:
         with pytest.raises(DomainError, match=rf"overflows? at delta_p={where}$"):
             steady_state(sys)
 
+    @pytest.mark.parametrize("delta_p", [1.5, -1.5])
+    def test_amplitude_that_fits_a_double_survives_an_overflowing_product(self, delta_p):
+        # eps * Db*Dq overflows, but <a> = -eps / Da is about 5.06e307
+        sys = decoupled_system(delta_p=delta_p, epsilon=8e307)
+        ss = steady_state(sys)
+        da = effective_detunings(sys).a
+        assert ss.a == pytest.approx(-8e307 / da, rel=1e-15)
+        assert (ss.b, ss.sigma_minus) == (0, 0)
+
+    def test_coupled_amplitudes_after_the_rescale_match_a_scaled_drive(self):
+        # every amplitude is linear in eps, so 2^1000 times the eps = 2^-1000
+        # result is exact up to the rounding of each route
+        big = matched_system(delta_p=1.5, epsilon=8e307 - 8e307j)
+        small = steady_state(replace(big, epsilon=big.epsilon * 2.0**-1000))
+        ss = steady_state(big)
+        for got, unit in zip((ss.a, ss.b, ss.sigma_minus), (small.a, small.b, small.sigma_minus)):
+            assert got == pytest.approx(unit * 2.0**500 * 2.0**500, rel=1e-15)
+
+    def test_decoupled_response_past_the_largest_double_is_a_domain_error(self):
+        # |<a>| = eps / |Da| = 2e308 at resonance
+        with pytest.raises(DomainError, match=r"amplitudes overflow at delta_p=0\.0$"):
+            steady_state(decoupled_system(epsilon=1e308))
+
     def test_far_tail_just_inside_the_range(self):
         # <a> -> -eps / delta_p once the detuning dwarfs every coupling
         ss = steady_state(matched_system(delta_p=5e102))

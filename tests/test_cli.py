@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nit_sim
-from nit_sim import DomainError, cli, config, meanfield, svgplot
+from nit_sim import DomainError, cli, config, meanfield, spectra, svgplot
 from nit_sim.cli import main
 from nit_sim.config import parse_config
 
@@ -173,7 +173,7 @@ class TestSweepCommand:
     def test_format_override_trims_outputs(self, tmp_path, capsys, monkeypatch):
         # an unselected format costs nothing: its producers are never called
         monkeypatch.setattr(cli, "emit_svg", unselected)
-        monkeypatch.setattr(cli, "analyze_windows", unselected)
+        monkeypatch.setattr(spectra, "analyze_windows", unselected)
         code, out = run_cli(tmp_path, SWEEP_CFG, "sweep", "--format", "csv")
         assert code == 0
         assert_outputs(out, capsys.readouterr().out, ["spectrum.csv"])
@@ -305,7 +305,7 @@ class TestOtherCommands:
         [(EVOLVE_CFG, "evolve", "evolve"), (DEPHASING_CFG, "dephasing-scan", "dephasing")],
     )
     def test_json_only_skips_the_csv(self, tmp_path, capsys, monkeypatch, text, command, key):
-        monkeypatch.setattr(cli, "csv_text", unselected)
+        monkeypatch.setattr(spectra, "csv_text", unselected)
         code, out = run_cli(tmp_path, text, command, "--format", "json")
         assert code == 0
         assert_outputs(out, capsys.readouterr().out, [])
@@ -666,24 +666,26 @@ class TestNoTraceback:
             assert all(v is not None and math.isfinite(float(v)) for v in values)
 
 
-_SCIPY_PROBE = """\
+_COLD_PROBE = """\
 import json, sys
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def loaded(*packages):
+    return sorted(m for m in sys.modules if m.split(".")[0] in packages)
 
 import nit_sim
-on_import = scipy_modules()
+on_import = loaded("numpy", "scipy")
 from nit_sim.cli import main
 codes = [main(args) for args in json.loads(sys.argv[1])]
-print(json.dumps({"on_import": on_import, "codes": codes, "after": scipy_modules()}))
+print(json.dumps({"on_import": on_import, "codes": codes, "after": loaded("scipy"),
+                  "numpy": "numpy" in sys.modules}))
 """
 
 
-def scipy_after_cli_runs(tmp_path: Path, runs) -> dict:
+def cold_cli_runs(tmp_path: Path, runs) -> dict:
     """Run ``main`` on each (command, config text) in one fresh interpreter
-    and report the scipy modules loaded by ``import nit_sim`` and after the
-    runs, with every exit code."""
+    and report the numpy and scipy modules loaded by ``import nit_sim``, the
+    scipy modules loaded after the runs, whether numpy was, and every exit
+    code."""
     argvs = []
     for i, (command, text) in enumerate(runs):
         cfg_file = tmp_path / f"run{i}.cfg"
@@ -691,7 +693,7 @@ def scipy_after_cli_runs(tmp_path: Path, runs) -> dict:
         outdir = tmp_path / f"out{i}"
         argvs.append([command, "--config", str(cfg_file), "--out", str(outdir)])
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(argvs)],
+        [sys.executable, "-c", _COLD_PROBE, json.dumps(argvs)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     assert proc.returncode == 0, proc.stderr
@@ -721,14 +723,46 @@ class TestColdStart:
         self, tmp_path, runs, loads_scipy
     ):
         """Only the master-equation commands import scipy; the others, and a
-        plain ``import nit_sim``, start without it."""
-        report = scipy_after_cli_runs(tmp_path, runs)
+        plain ``import nit_sim``, start without it (nor numpy)."""
+        report = cold_cli_runs(tmp_path, runs)
         assert report["on_import"] == []
         assert report["codes"] == [0] * len(runs)
         if loads_scipy:
             assert "scipy.sparse.linalg" in report["after"]
         else:
             assert report["after"] == []
+
+    @pytest.mark.parametrize(
+        "runs, loads_numpy",
+        [
+            pytest.param(
+                [("steady", STEADY_CFG), ("derive-coupling", DERIVE_CFG)], False,
+                id="closed-form",
+            ),
+            pytest.param([("sweep", SWEEP_CFG + "backend = analytic\n")], True, id="sweep"),
+        ],
+    )
+    def test_numpy_loads_only_for_array_commands(self, tmp_path, runs, loads_numpy):
+        """`steady` and `derive-coupling` evaluate scalars and run without
+        numpy; a sweep, which builds arrays, loads it."""
+        report = cold_cli_runs(tmp_path, runs)
+        assert report["codes"] == [0] * len(runs)
+        assert report["numpy"] is loads_numpy
+
+    def test_public_names_resolve_to_their_modules_objects(self):
+        """Each top-level name is the object its defining module holds, and
+        that module is where the object says it was defined."""
+        for name in nit_sim.__all__:
+            module = importlib.import_module(f"nit_sim.{nit_sim._MODULE_OF[name]}")
+            value = getattr(nit_sim, name)
+            assert value is getattr(module, name), name
+            assert value.__module__ == module.__name__, name
+        assert nit_sim.HilbertSpec is importlib.import_module("nit_sim.quantum").HilbertSpec
+
+    @pytest.mark.parametrize("name", ["no_such_name", "quantum_expectations", "BACKENDS"])
+    def test_unknown_name_is_an_attribute_error(self, name):
+        with pytest.raises(AttributeError, match=name):
+            getattr(nit_sim, name)
 
 
 class TestEntryPoints:

@@ -489,6 +489,22 @@ class TestWindows:
         assert not report.peaks
         assert math.isnan(report.asymmetry)
 
+    def test_strong_drive_refines_to_finite_extrema(self):
+        # past about 1e154 the squared difference in the parabola vertex
+        # overflows; the response is linear in epsilon, so the refined
+        # extrema only scale and the depths stay put
+        weak, strong = (
+            analyze_windows(sweep(SweepConfig(matched_system(epsilon=eps), -1.5, 1.5, 61)))
+            for eps in (0.03, 1e160)
+        )
+        assert (len(strong.peaks), len(strong.dips)) == (3, 2)
+        for w, s in zip(weak.peaks, strong.peaks):
+            assert s.height == pytest.approx(w.height * (1e160 / 0.03), rel=1e-12)
+            assert s.detuning == pytest.approx(w.detuning, rel=1e-12)
+        for w, s in zip(weak.dips, strong.dips):
+            assert s.depth == pytest.approx(w.depth, rel=1e-12)
+            assert s.detuning == pytest.approx(w.detuning, rel=1e-12)
+
     def test_report_serializes(self):
         d = analyze_windows(sweep(matched_sweep(201))).to_dict()
         assert set(d) == {"peaks", "dips", "asymmetry"}
