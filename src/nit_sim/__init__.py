@@ -38,6 +38,7 @@ _EXPORTS = {
     "model": (
         "HilbertSpec",
         "PhysicalParams",
+        "SweepConfig",
         "SystemParams",
         "derive_lambda",
         "lamb_dicke",
@@ -59,7 +60,6 @@ _EXPORTS = {
     ),
     "spectra": (
         "Spectrum",
-        "SweepConfig",
         "WindowReport",
         "analyze_windows",
         "dephasing_scan",

@@ -26,7 +26,6 @@ import sys
 import time
 from dataclasses import asdict, fields, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import __version__
 from .analytic import steady_state
@@ -39,13 +38,11 @@ from .config import (
     render_config,
 )
 from .errors import ConfigError, DomainError, NumericalError
-from .model import PhysicalParams, derive_lambda, lamb_dicke
+from .model import PhysicalParams, SweepConfig, derive_lambda, lamb_dicke
 from .svgplot import emit_svg
 
 # numpy, meanfield, quantum and spectra are imported by the handlers that
 # run them, so `steady` and `derive-coupling` start without numpy
-if TYPE_CHECKING:
-    from .spectra import SweepConfig
 
 MEANFIELD_ABS_TOL = 1e-6
 QUANTUM_REL_TOL = 0.02
@@ -182,11 +179,11 @@ def _cmd_validate(cfg: RunConfig) -> tuple[dict, bool, dict]:
     import numpy as np
 
     from .quantum import build_operators
-    from .spectra import quantum_expectations, stationary_a
+    from .spectra import quantum_expectations, stationary_a, sweep_points
 
     v = cfg.validate
     spec = v.quantum_spec
-    _, systems = v.points()
+    _, systems = sweep_points(v)
 
     a_analytic = stationary_a(systems, "analytic")
     a_meanfield = stationary_a(systems, "meanfield")

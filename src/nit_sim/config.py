@@ -20,13 +20,10 @@ import cmath
 import difflib
 import re
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 from .errors import ConfigError, DomainError
-from .model import BACKENDS, HilbertSpec, PhysicalParams, SystemParams, normalize
-
-if TYPE_CHECKING:
-    from .spectra import SweepConfig
+from .model import BACKENDS, HilbertSpec, PhysicalParams, SweepConfig, SystemParams, normalize
 
 _REQUIRED_BLOCKS: dict[str, tuple[str, ...]] = {
     "steady": ("system",),
@@ -304,10 +301,7 @@ def _build(block: str, make: Callable[..., Any], *args) -> Any:
 
 def _grid(system: SystemParams, backend: str, n_a: int, n_b: int, **grid):
     """[sweep] or [validate] as a SweepConfig; only the quantum backend
-    reads the truncation n_a, n_b.  spectra (and so numpy) is imported
-    here, so a config without these blocks parses without it."""
-    from .spectra import SweepConfig
-
+    reads the truncation n_a, n_b."""
     spec = HilbertSpec(n_a, n_b) if backend == "quantum" else None
     return SweepConfig(base=system, backend=backend, quantum_spec=spec, **grid)
 

@@ -135,7 +135,17 @@ def _run_bank(
         return out
 
     def vec_norm(k):
-        return np.sqrt(np.abs(k[0]) ** 2 + np.abs(k[1]) ** 2 + np.abs(k[2]) ** 2)
+        """||k||_2 of each point.  A norm that overflows from finite
+        components (past about 1e154) is taken again of the magnitudes
+        scaled by 2^-e, the largest into [0.5, 1), and scaled back."""
+        with np.errstate(over="ignore"):
+            norm = np.sqrt(np.abs(k[0]) ** 2 + np.abs(k[1]) ** 2 + np.abs(k[2]) ** 2)
+            big = np.isinf(norm) & np.isfinite(k).all(axis=0)
+            if big.any():
+                mag = np.abs(k[:, big])
+                e = np.frexp(mag.max(axis=0))[1]
+                norm[big] = np.ldexp(np.sqrt((np.ldexp(mag, -e) ** 2).sum(axis=0)), e)
+        return norm
 
     y = np.array(y0, dtype=complex, copy=True)
     t = np.zeros(n)

@@ -10,8 +10,9 @@ Two parameter layers:
   sideband coupling are derived.
 
 It also holds what a config names without running a backend: the backend
-names and the master-equation truncation :class:`HilbertSpec`.  Neither
-this module nor ``analytic`` imports numpy.
+names, the master-equation truncation :class:`HilbertSpec` and the
+detuning sweep :class:`SweepConfig`.  Neither this module nor ``analytic``
+imports numpy.
 
 Convention: every frequency-like quantity is an angular frequency.  Reported
 magnitudes quoted as plain kHz/MHz are multiplied by 2*pi on ingestion.
@@ -100,6 +101,38 @@ class HilbertSpec:
     @property
     def dim(self) -> int:
         return 2 * self.n_a * self.n_b
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    """A uniform detuning grid, the system swept over it and its backend."""
+
+    base: SystemParams
+    delta_min: float
+    delta_max: float
+    n_points: int
+    backend: str = "analytic"
+    quantum_spec: HilbertSpec | None = None
+
+    def __post_init__(self):
+        bounds = f"[{self.delta_min!r}, {self.delta_max!r}]"
+        if not (math.isfinite(self.delta_min) and math.isfinite(self.delta_max)):
+            raise DomainError(f"grid bounds must be finite, got {bounds}")
+        if not self.delta_min < self.delta_max:
+            raise DomainError(f"need delta_min < delta_max, got {bounds}")
+        if not math.isfinite(self.delta_max - self.delta_min):
+            raise DomainError(f"grid span delta_max - delta_min overflows, got {bounds}")
+        if not isinstance(self.n_points, numbers.Integral):
+            raise DomainError(f"n_points must be an integer, got {self.n_points!r}")
+        if self.n_points < 2:
+            raise DomainError(f"n_points must be >= 2, got {self.n_points!r}")
+        if self.backend not in BACKENDS:
+            raise DomainError(
+                f"unknown backend {self.backend!r}; choose from {BACKENDS}"
+            )
+        # the truncation a quantum sweep solves at, and None for the others
+        spec = (self.quantum_spec or HilbertSpec()) if self.backend == "quantum" else None
+        object.__setattr__(self, "quantum_spec", spec)
 
 
 def normalize(sys: SystemParams) -> SystemParams:

@@ -232,6 +232,16 @@ class DensityMatrix:
             raise DomainError(f"negative eigenvalue {lo:.3e} below {EIG_FLOOR:g}")
 
 
+def _computed_dm(s: np.ndarray) -> DensityMatrix:
+    """The hermitian part of a state a solver computed.  A state that fails
+    the DensityMatrix checks is the solver's failure, a SolverError with
+    the same message, not a DomainError of the caller's input."""
+    try:
+        return DensityMatrix(0.5 * (s + s.conj().T))
+    except DomainError as exc:
+        raise SolverError(str(exc)) from exc
+
+
 def vacuum_state(spec: HilbertSpec) -> DensityMatrix:
     """|g, 0, 0><g, 0, 0|."""
     m = np.zeros((spec.dim, spec.dim), dtype=complex)
@@ -468,8 +478,9 @@ def steady_state_dm(
     does not converge, or the residual ||(L + shift*D) vec(rho)||_2 exceeds
     1e-10 * max|entries of L + shift*D|, it falls back to the LU of the
     trace-replaced generator, held to the same bound.  Rank deficiency
-    beyond the trace direction raises DegenerateSteadyStateError, a missed
-    residual SolverError.  ``info``, if given, receives the route taken
+    beyond the trace direction raises DegenerateSteadyStateError; a missed
+    residual, or a state that fails the DensityMatrix checks, SolverError.
+    ``info``, if given, receives the route taken
     ("structured" or "lu"), the BiCGSTAB iterations begun (half the
     preconditioner solves, rounded up), the residual and its threshold.
     """
@@ -494,8 +505,7 @@ def steady_state_dm(
               route, iterations, residual, threshold)
     if info is not None:
         info.update(route=route, iterations=iterations, residual=residual, threshold=threshold)
-    s = _unvec(x, liou.spec.dim)
-    return DensityMatrix(0.5 * (s + s.conj().T))
+    return _computed_dm(_unvec(x, liou.spec.dim))
 
 
 def mirror_dm(liou: Liouvillian, rho: DensityMatrix, shift: float) -> DensityMatrix:
@@ -538,8 +548,9 @@ def evolve(
     """Propagate a state to ``t_end`` with ``_integrate``.
 
     The final state is certified once: its hermiticity defect and trace
-    drift go to ``info``, a trace drift beyond 1e-10 is a SolverError and a
-    failed integration a StiffnessError.  Returns its hermitian part.
+    drift go to ``info``; a trace drift beyond 1e-10, or a state that fails
+    the DensityMatrix checks, is a SolverError and a failed integration a
+    StiffnessError.  Returns its hermitian part.
     """
     if not 0 < t_end < math.inf:
         raise DomainError(f"t_end must be finite and > 0, got {t_end!r}")
@@ -555,7 +566,7 @@ def evolve(
         info.update(herm_drift=herm_drift, trace_drift=trace_drift)
     if not trace_drift <= TRACE_TOL:  # also catches a non-finite state
         raise SolverError(f"trace drift {trace_drift:.3e} exceeds {TRACE_TOL:g}")
-    return DensityMatrix(0.5 * (s + s.conj().T))
+    return _computed_dm(s)
 
 
 def trace_distance(r1, r2) -> float:

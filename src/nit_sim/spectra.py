@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -32,7 +31,7 @@ import numpy as np
 from .analytic import steady_state
 from .errors import ConfigError, DomainError, NumericalError
 from .meanfield import relax_many
-from .model import BACKENDS, HilbertSpec, SystemParams, normalize
+from .model import BACKENDS, HilbertSpec, SweepConfig, SystemParams, normalize
 from .quantum import (
     build_liouvillian,
     build_operators,
@@ -46,42 +45,6 @@ log = logging.getLogger(__name__)
 CSV_HEADER = "delta_p,re_a,im_a,absorption"
 
 MIN_WINDOW_POINTS = 51
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    base: SystemParams
-    delta_min: float
-    delta_max: float
-    n_points: int
-    backend: str = "analytic"
-    quantum_spec: HilbertSpec | None = None
-
-    def __post_init__(self):
-        bounds = f"[{self.delta_min!r}, {self.delta_max!r}]"
-        if not (math.isfinite(self.delta_min) and math.isfinite(self.delta_max)):
-            raise DomainError(f"grid bounds must be finite, got {bounds}")
-        if not self.delta_min < self.delta_max:
-            raise DomainError(f"need delta_min < delta_max, got {bounds}")
-        if not math.isfinite(self.delta_max - self.delta_min):
-            raise DomainError(f"grid span delta_max - delta_min overflows, got {bounds}")
-        if not isinstance(self.n_points, numbers.Integral):
-            raise DomainError(f"n_points must be an integer, got {self.n_points!r}")
-        if self.n_points < 2:
-            raise DomainError(f"n_points must be >= 2, got {self.n_points!r}")
-        if self.backend not in BACKENDS:
-            raise DomainError(
-                f"unknown backend {self.backend!r}; choose from {BACKENDS}"
-            )
-        # the truncation a quantum sweep solves at, and None for the others
-        spec = (self.quantum_spec or HilbertSpec()) if self.backend == "quantum" else None
-        object.__setattr__(self, "quantum_spec", spec)
-
-    def points(self) -> tuple[np.ndarray, list[SystemParams]]:
-        """The detuning grid and the normalized system at each of its points."""
-        base = normalize(self.base)
-        grid = detuning_grid(self.delta_min, self.delta_max, self.n_points)
-        return grid, [replace(base, delta_p=float(d)) for d in grid]
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,6 +73,13 @@ def detuning_grid(delta_min: float, delta_max: float, n_points: int) -> np.ndarr
         half = np.linspace(0.0, delta_max, (n_points + 1) // 2)
         return np.concatenate([-half[:0:-1], half])
     return np.linspace(delta_min, delta_max, n_points)
+
+
+def sweep_points(cfg: SweepConfig) -> tuple[np.ndarray, list[SystemParams]]:
+    """The detuning grid of a sweep and the normalized system at each of its points."""
+    base = normalize(cfg.base)
+    grid = detuning_grid(cfg.delta_min, cfg.delta_max, cfg.n_points)
+    return grid, [replace(base, delta_p=float(d)) for d in grid]
 
 
 def worker_count() -> int:
@@ -194,7 +164,7 @@ def sweep(cfg: SweepConfig) -> Spectrum:
     A failure at any single point aborts the sweep, re-raised with the
     offending detuning attached.
     """
-    grid, systems = cfg.points()
+    grid, systems = sweep_points(cfg)
     a_vals = stationary_a(systems, cfg.backend, cfg.quantum_spec)
 
     out = Spectrum(

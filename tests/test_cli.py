@@ -488,6 +488,25 @@ class TestFailureModes:
         assert "numerical error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_computed_state_that_is_no_density_matrix_exits_3(self, tmp_path, capsys):
+        """At epsilon = 1e150 the LU state meets its residual bound with a
+        trace far from 1: the solver failed, so exit 3 at a named detuning.
+        BiCGSTAB's inner products overflow on the way (ROADMAP item 18), and
+        their warnings go to stderr as in a plain run."""
+        huge = QUANTUM_SWEEP_CFG.replace("n_points = 3", "n_points = 2") \
+                                .replace("n_a = 3\nn_b = 3", "n_a = 2\nn_b = 2") \
+                                .replace("delta_min = -1.5", "delta_min = 0") \
+                                .replace("lambda = 0.5", "lambda = 1") \
+                                .replace("g = 0.5", "g = 1") \
+                                .replace("epsilon = 0.03", "epsilon = 1e150")
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            code, out = run_cli(tmp_path, huge, "sweep")
+        err = capsys.readouterr().err
+        assert code == 3
+        assert re.match(r"numerical error: at delta_p=[-\d.e+]+: trace .* differs from 1", err)
+        assert not out.exists()
+
     def test_failed_validation_exit_code(self, tmp_path, capsys):
         # eps = 0.3 overfills the (3, 3) truncation: quantum and closure fail
         strong = VALIDATE_CFG.replace("epsilon = 0.01", "epsilon = 0.3") \
@@ -700,6 +719,22 @@ def cold_cli_runs(tmp_path: Path, runs) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+_PARSE_PROBE = """\
+import json, sys
+
+from nit_sim.config import parse_config
+
+configs = [parse_config(text) for text in json.loads(sys.argv[1])]
+parsed = "numpy" in sys.modules
+from nit_sim import SweepConfig
+imported = "numpy" in sys.modules
+from nit_sim import model, spectra
+print(json.dumps({"parse": parsed, "import": imported, "module": SweepConfig.__module__,
+                  "same": spectra.SweepConfig is model.SweepConfig,
+                  "grids": [type(c.sweep or c.validate).__name__ for c in configs]}))
+"""
+
+
 class TestColdStart:
     @pytest.mark.parametrize(
         "runs, loads_scipy",
@@ -748,6 +783,19 @@ class TestColdStart:
         report = cold_cli_runs(tmp_path, runs)
         assert report["codes"] == [0] * len(runs)
         assert report["numpy"] is loads_numpy
+
+    def test_a_sweep_config_parses_without_numpy(self):
+        """A [sweep] or [validate] block names its grid with the model's
+        SweepConfig, which loads no numpy; spectra serves the same class."""
+        texts = [SWEEP_CFG, QUANTUM_SWEEP_CFG, VALIDATE_CFG]
+        proc = subprocess.run(
+            [sys.executable, "-c", _PARSE_PROBE, json.dumps(texts)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report == {"parse": False, "import": False, "module": "nit_sim.model",
+                          "same": True, "grids": ["SweepConfig"] * 3}
 
     def test_public_names_resolve_to_their_modules_objects(self):
         """Each top-level name is the object its defining module holds, and

@@ -13,6 +13,7 @@ from nit_sim import (
     DomainError,
     MeanFieldState,
     StiffnessError,
+    SystemParams,
     ZERO_STATE,
     integrate,
     meanfield,
@@ -149,3 +150,34 @@ class TestRelax:
             relax_to_steady_state(matched_system(gamma=0.0, gamma_phi=0.0))
         with pytest.raises(DomainError, match="kappa_b"):
             relax_to_steady_state(matched_system(kappa_b=0.0))
+
+
+def strong_drive_system(epsilon: float) -> SystemParams:
+    return SystemParams(delta_p=0.5, lam=1.0, g=1.0, epsilon=epsilon, kappa_a=1.0,
+                        kappa_b=0.1, gamma=0.1, gamma_phi=0.0)
+
+
+class TestOverflow:
+    """Past about 1e154 the squares in the residual norm overflow, while the
+    flow and its fixed point stay finite; pyproject turns the overflow
+    RuntimeWarning into an error."""
+
+    @pytest.mark.parametrize("eps", [1e160, 1e170, 1e300])
+    def test_strong_drive_relaxes_to_the_closed_form(self, eps):
+        sys = strong_drive_system(eps)
+        out = relax_to_steady_state(sys)
+        ss = steady_state(sys)
+        assert out.a == pytest.approx(ss.a, rel=1e-7)
+        assert out.b == pytest.approx(ss.b, rel=1e-7)
+        assert out.sigma_minus == pytest.approx(ss.sigma_minus, rel=1e-7)
+        assert out.t < 1e3
+
+    def test_trajectory_past_the_squares_scales_with_the_drive(self):
+        """The flow from the zero state is linear in the drive."""
+        big = integrate(ZERO_STATE, strong_drive_system(1e300), t_end=50.0)
+        unit = integrate(ZERO_STATE, strong_drive_system(1.0), t_end=50.0)
+        assert all(np.isfinite(s.vector).all() for s in big)
+        assert big[-1].t == unit[-1].t == 50.0
+        for name in ("a", "b", "sigma_minus"):
+            ref = 1e300 * getattr(unit[-1], name)
+            assert getattr(big[-1], name) == pytest.approx(ref, rel=1e-9)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -731,6 +732,16 @@ class TestSteadyState:
             steady_state_dm(liou)
 
 
+    def test_state_that_is_no_density_matrix_is_a_solver_error(self):
+        # at epsilon = 1e150 the LU state meets its residual bound with a
+        # trace of about -9e4; BiCGSTAB's inner products overflow first
+        liou = build_liouvillian(matched_system(lam=1.0, g=1.0, epsilon=1e150), SPEC22)
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            with pytest.raises(SolverError, match="trace .* differs from 1 beyond"):
+                steady_state_dm(liou)
+
+
 class TestEvolve:
     def test_evolution_factors_nothing(self, monkeypatch):
         # the steady-state pieces, with their m = 0 LU, are made on first use
@@ -786,6 +797,15 @@ class TestEvolve:
         with pytest.raises(SolverError, match="trace drift"):
             evolve(vacuum_state(SPEC22), liou, t_end=1.0, info=info)
         assert info["trace_drift"] == pytest.approx(5e-10, rel=1e-3)
+
+    def test_state_that_is_no_density_matrix_is_a_solver_error(self):
+        # d rho_00/dt = rho_00 = -d rho_11/dt keeps the trace but drives the
+        # population of the second level negative
+        dim = SPEC22.dim
+        gen = sp.coo_matrix(([1.0, -1.0], ([0, dim + 1], [0, 0])), shape=(dim**2, dim**2))
+        liou = Liouvillian(gen.astype(complex), SPEC22)
+        with pytest.raises(SolverError, match="negative eigenvalue"):
+            evolve(vacuum_state(SPEC22), liou, t_end=1.0)
 
     def test_rejects_bad_arguments(self):
         liou = build_liouvillian(weak_drive_system(), SPEC22)
