@@ -38,7 +38,7 @@ from .config import (
     render_config,
 )
 from .errors import ConfigError, DomainError, NumericalError
-from .model import PhysicalParams, SweepConfig, derive_lambda, lamb_dicke
+from .model import PhysicalParams, SweepConfig, _derived, derive_lambda, lamb_dicke
 from .svgplot import emit_svg
 
 # numpy, meanfield, quantum and spectra are imported by the handlers that
@@ -179,17 +179,16 @@ def _cmd_validate(cfg: RunConfig) -> tuple[dict, bool, dict]:
     import numpy as np
 
     from .quantum import build_operators
-    from .spectra import quantum_expectations, stationary_a, sweep_points
+    from .spectra import detuning_grid, quantum_expectations, sweep
 
     v = cfg.validate
     spec = v.quantum_spec
-    _, systems = sweep_points(v)
-
-    a_analytic = stationary_a(systems, "analytic")
-    a_meanfield = stationary_a(systems, "meanfield")
+    a_analytic = sweep(replace(v, backend="analytic")).a
+    a_meanfield = sweep(replace(v, backend="meanfield")).a
     ops = build_operators(spec)
     a_quantum, b_quantum, bsz = quantum_expectations(
-        systems, spec, [ops.a, ops.b, ops.b @ ops.sigma_z]
+        v.base, detuning_grid(v.delta_min, v.delta_max, v.n_points), spec,
+        [ops.a, ops.b, ops.b @ ops.sigma_z],
     )
     # scalar abs: numpy's vectorized complex abs differs in the last bit
     violation = np.array([abs(x + y) for x, y in zip(bsz, b_quantum)])
@@ -240,7 +239,9 @@ def _cmd_derive_coupling(cfg: RunConfig) -> tuple[dict, bool, dict]:
     ka = cfg.kappa_a_input  # rad/s; parse_config guarantees SI units here
     lam_si = derive_lambda(p)
     eta = lamb_dicke(p)
-    g_si = eta * p.Omega
+    g_si = _derived("g", eta * p.Omega, p, "k_l m nu Omega")
+    # the n = 1 -> 0 sideband element is eta * Omega times exp(-eta^2 / 2)
+    debye_waller = math.exp(-0.5 * eta * eta)
     result = {
         "kappa_a_rad_s": ka,
         "lambda_rad_s": lam_si,
@@ -250,6 +251,8 @@ def _cmd_derive_coupling(cfg: RunConfig) -> tuple[dict, bool, dict]:
         "g_rad_s": g_si,
         "g_hz": g_si / TWO_PI,
         "g_over_kappa_a": g_si / ka,
+        "debye_waller": debye_waller,
+        "g_rel_shift": -math.expm1(-0.5 * eta * eta),
     }
     print("derived couplings")
     print(f"  lambda = {lam_si:.6e} rad/s = {lam_si / TWO_PI:.6e} Hz"
@@ -257,6 +260,8 @@ def _cmd_derive_coupling(cfg: RunConfig) -> tuple[dict, bool, dict]:
     print(f"  eta    = {eta:.6g}")
     print(f"  g      = {g_si:.6e} rad/s = {g_si / TWO_PI:.6e} Hz"
           f" = {g_si / ka:.6g} kappa_a")
+    print(f"  Debye-Waller exp(-eta^2/2) = {debye_waller:.6g}: g overstates the"
+          f" 1 -> 0 sideband coupling by {result['g_rel_shift']:.3g}")
     return {"couplings": result}, True, {"couplings.json": result}
 
 

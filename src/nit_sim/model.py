@@ -179,6 +179,15 @@ class PhysicalParams:
                 raise DomainError(f"{f.name} must be finite and > 0, got {v!r}")
 
 
+def _derived(name: str, value: float, p: PhysicalParams, keys: str) -> float:
+    """``value``, derived from the ``keys`` of ``p``, or DomainError naming
+    them when it comes out zero or not finite in double precision."""
+    if not 0 < value < math.inf:
+        given = ", ".join(f"{k}={getattr(p, k)!r}" for k in keys.split())
+        raise DomainError(f"{name} comes out zero or not finite at {given}")
+    return value
+
+
 def derive_lambda(p: PhysicalParams) -> float:
     """Electrostatic coupling rate between resonator and ion motion, rad/s.
 
@@ -188,10 +197,14 @@ def derive_lambda(p: PhysicalParams) -> float:
     is
 
         lambda = k_c * q_e * V0 * C0 / (d^3 * sqrt(m*M*nu*omega)).
+
+    Raises DomainError when it comes out zero or not finite.
     """
-    return _K_C * _Q_E * p.V0 * p.C0 / (
-        p.d ** 3 * math.sqrt(p.m * p.M * p.nu * p.omega)
-    )
+    try:
+        lam = _K_C * _Q_E * p.V0 * p.C0 / (p.d ** 3 * math.sqrt(p.m * p.M * p.nu * p.omega))
+    except ArithmeticError:  # d^3 overflows, or the denominator underflows to 0
+        lam = math.nan
+    return _derived("lambda", lam, p, "d V0 C0 M m nu omega")
 
 
 def lamb_dicke(p: PhysicalParams) -> float:
@@ -199,9 +212,14 @@ def lamb_dicke(p: PhysicalParams) -> float:
 
     eta^2 equals the recoil-to-trap energy ratio hbar*k_l^2/(2 m nu).
     Warns (does not abort) when eta >= 0.1, where the first-order sideband
-    expansion becomes questionable.
+    expansion becomes questionable; raises DomainError when it comes out
+    zero or not finite.
     """
-    eta = p.k_l * math.sqrt(_HBAR / (2.0 * p.m * p.nu))
+    try:
+        eta = p.k_l * math.sqrt(_HBAR / (2.0 * p.m * p.nu))
+    except ZeroDivisionError:  # m * nu underflows to 0
+        eta = math.nan
+    _derived("eta", eta, p, "k_l m nu")
     if eta >= LAMB_DICKE_WARN:
         warnings.warn(
             f"Lamb-Dicke parameter eta={eta:.3g} >= {LAMB_DICKE_WARN}; "

@@ -160,6 +160,7 @@ class Liouvillian:
         return _build_pieces(self.matrix, self.spec)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is rejected below
 def build_liouvillian(sys: SystemParams, spec: HilbertSpec) -> Liouvillian:
     """Assemble the vectorized generator from the effective Hamiltonian K and
     the jumps (see the module docstring) in one pass over their nonzeros.
@@ -168,7 +169,9 @@ def build_liouvillian(sys: SystemParams, spec: HilbertSpec) -> Liouvillian:
     is diagonal or zero there, so the kron products of L meet only on its
     diagonal.  Each entry is laid out by index arithmetic and its value
     formed, and on the diagonal summed, as the sum of the kron products
-    would form it: L equals that sum entry for entry.
+    would form it: L equals that sum entry for entry.  A generator that
+    overflows a double (a rate, the drive or an offset near 1e308) raises
+    DomainError.
     """
     import scipy.sparse as sp
 
@@ -203,6 +206,8 @@ def build_liouvillian(sys: SystemParams, spec: HilbertSpec) -> Liouvillian:
     key = np.concatenate(keys)
     gen = sp.coo_matrix((np.concatenate(values), (key // n, key % n)), shape=(n, n))
     liou = Liouvillian(gen, spec)
+    if not np.isfinite(liou.matrix.data).all():
+        raise DomainError("the master-equation generator overflows a double")
     # the trace functional applied to every column of the generator
     defect = float(np.max(np.abs(_trace_row(spec.dim) @ liou.matrix)))
     if defect > 1e-10:
@@ -347,13 +352,17 @@ def _gather(pattern: sp.spmatrix, data: np.ndarray) -> sp.spmatrix:
 
 
 def _shifted(liou: Liouvillian, shift: float) -> sp.csr_matrix:
-    """L + shift*D as one csr matrix with the sparsity of L."""
+    """L + shift*D as one csr matrix with the sparsity of L; DomainError
+    for a shift that is not finite or at which it overflows a double."""
     if not math.isfinite(shift):
         raise DomainError(f"shift must be finite, got {shift!r}")
     if not shift:
         return liou.matrix
     m = liou.matrix.copy()
-    m.data[liou.pieces.diag] += shift * liou.pieces.d
+    with np.errstate(over="ignore", invalid="ignore"):
+        m.data[liou.pieces.diag] += shift * liou.pieces.d
+    if not np.isfinite(m.data).all():
+        raise DomainError(f"the generator L + shift*D overflows a double at shift={shift!r}")
     return m
 
 
@@ -407,14 +416,17 @@ def _solve_structured(
         solves += 1
         return apply(v)
 
-    y, status = spla.bicgstab(
-        a, p.rhs, rtol=SOLVE_RTOL, atol=0.0, maxiter=SOLVE_MAXITER,
-        M=spla.LinearOperator(a.shape, precondition, dtype=complex),
-    )
-    x = np.empty(p.order.size, dtype=complex)
-    x[p.order] = np.concatenate(([1.0], y))
-    # an iteration solves twice, but may converge after its first solve
-    return x / (_trace_row(liou.spec.dim) @ x), (solves + 1) // 2, status == 0
+    # a huge drive overflows the iteration; its non-finite result is no
+    # converged one, and the caller's residual check sends it to LU
+    with np.errstate(all="ignore"):
+        y, status = spla.bicgstab(
+            a, p.rhs, rtol=SOLVE_RTOL, atol=0.0, maxiter=SOLVE_MAXITER,
+            M=spla.LinearOperator(a.shape, precondition, dtype=complex),
+        )
+        x = np.empty(p.order.size, dtype=complex)
+        x[p.order] = np.concatenate(([1.0], y))
+        # an iteration solves twice, but may converge after its first solve
+        return x / (_trace_row(liou.spec.dim) @ x), (solves + 1) // 2, status == 0
 
 
 def _solve_lu(matrix: sp.spmatrix) -> np.ndarray:
@@ -438,12 +450,13 @@ def _solve_lu(matrix: sp.spmatrix) -> np.ndarray:
                 "generator is rank deficient beyond the trace direction"
             ) from exc
         raise SolverError(f"steady-state factorization failed: {exc}") from exc
-    x = lu.solve(rhs_)
-    for _ in range(2):
-        r = rhs_ - m @ x
-        if np.linalg.norm(r) <= 1e-14 * np.linalg.norm(x):
-            break
-        x = x + lu.solve(r)
+    with np.errstate(all="ignore"):  # an overflow fails the caller's residual check
+        x = lu.solve(rhs_)
+        for _ in range(2):
+            r = rhs_ - m @ x
+            if np.linalg.norm(r) <= 1e-14 * np.linalg.norm(x):
+                break
+            x = x + lu.solve(r)
     return x
 
 
@@ -453,9 +466,15 @@ def _threshold(m: sp.csr_matrix) -> float:
     return RESIDUAL_TOL * float(np.abs(m.data).max())
 
 
+def _residual(m: sp.csr_matrix, x: np.ndarray) -> float:
+    """||m x||_2: inf or nan, with no warning, where it overflows."""
+    with np.errstate(all="ignore"):
+        return float(np.linalg.norm(m @ x))
+
+
 def _certify(m: sp.csr_matrix, x: np.ndarray, threshold: float) -> float:
     """||m x||_2, or SolverError if it exceeds ``threshold``."""
-    residual = float(np.linalg.norm(m @ x))
+    residual = _residual(m, x)
     if not residual <= threshold:  # also catches a non-finite solution
         raise SolverError(f"steady-state residual {residual:.3e} exceeds {threshold:.3e}")
     return residual
@@ -488,7 +507,7 @@ def steady_state_dm(
     threshold = _threshold(m)
     route = "structured"
     x, iterations, converged = _solve_structured(liou, m)
-    residual = np.inf if x is None else float(np.linalg.norm(m @ x))
+    residual = np.inf if x is None else _residual(m, x)
     if not (converged and residual <= threshold):
         if x is not None:
             log.warning(

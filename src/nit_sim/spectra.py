@@ -25,13 +25,14 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .analytic import steady_state
 from .errors import ConfigError, DomainError, NumericalError
 from .meanfield import relax_many
-from .model import BACKENDS, HilbertSpec, SweepConfig, SystemParams, normalize
+from .model import HilbertSpec, SweepConfig, SystemParams, normalize
 from .quantum import (
     build_liouvillian,
     build_operators,
@@ -49,18 +50,32 @@ MIN_WINDOW_POINTS = 51
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Stationary response on a detuning grid, kappa_a units."""
+    """Stationary response <a> on a detuning grid, kappa_a units.  Its
+    arrays are read-only."""
 
     detunings: np.ndarray
-    a_re: np.ndarray
-    a_im: np.ndarray
-    absorption: np.ndarray
+    a: np.ndarray
     backend: str
     params: SystemParams
 
+    def __post_init__(self):
+        for arr in (self.detunings, self.a):
+            arr.flags.writeable = False
+
     @property
-    def a(self) -> np.ndarray:
-        return self.a_re + 1j * self.a_im
+    def a_re(self) -> np.ndarray:
+        return self.a.real
+
+    @property
+    def a_im(self) -> np.ndarray:
+        return self.a.imag
+
+    @cached_property
+    def absorption(self) -> np.ndarray:
+        """A = -Im<a>."""
+        out = -self.a.imag
+        out.flags.writeable = False
+        return out
 
     @property
     def n_points(self) -> int:
@@ -75,13 +90,6 @@ def detuning_grid(delta_min: float, delta_max: float, n_points: int) -> np.ndarr
     return np.linspace(delta_min, delta_max, n_points)
 
 
-def sweep_points(cfg: SweepConfig) -> tuple[np.ndarray, list[SystemParams]]:
-    """The detuning grid of a sweep and the normalized system at each of its points."""
-    base = normalize(cfg.base)
-    grid = detuning_grid(cfg.delta_min, cfg.delta_max, cfg.n_points)
-    return grid, [replace(base, delta_p=float(d)) for d in grid]
-
-
 def worker_count() -> int:
     raw = os.environ.get("NIT_SIM_THREADS", "1")
     try:
@@ -93,45 +101,43 @@ def worker_count() -> int:
     return n
 
 
-def quantum_expectations(systems, spec: HilbertSpec, operators) -> np.ndarray:
-    """trace(op . rho) of each operator in the steady state of each point,
-    as a (len(operators), len(systems)) array.
+def quantum_expectations(base: SystemParams, grid, spec: HilbertSpec, operators) -> np.ndarray:
+    """trace(op . rho) of each operator in the steady state of ``base`` at
+    each detuning of ``grid``, as a (len(operators), len(grid)) array.
 
-    The points may differ only in delta_p.  Their generator is assembled
-    once, at delta_p = 0, and each point is solved as its detuning's shift
-    of it (see ``steady_state_dm``) on NIT_SIM_THREADS workers that share
-    it.  With both offsets zero and a real drive, a point d > 0 whose exact
-    negation -d is also a point is not solved: the worker that solves -d
-    builds its state as ``mirror_dm`` of that solution, which is exact, so
-    the values are those of a direct solve to the last bit.  The solved
-    points are submitted in grid order.  A grid never repeats a point; if
-    ``systems`` does, the last point at -d is paired with the last at d and
-    every other copy is solved, so each value still equals a direct solve.
-    A failure at any point cancels the points not yet started and is
-    re-raised with its detuning attached.
+    The generator is assembled once, at delta_p = 0, and each point is
+    solved as its detuning's shift of it (see ``steady_state_dm``) on
+    NIT_SIM_THREADS workers that share it.  With both offsets zero and a
+    real drive, a point d > 0 whose exact negation -d is also a point is not
+    solved: the worker that solves -d builds its state as ``mirror_dm`` of
+    that solution, which is exact, so the values are those of a direct
+    solve to the last bit.  The solved points are submitted in grid order.
+    A detuning grid never repeats a point; if ``grid`` does, the last point
+    at -d is paired with the last at d and every other copy is solved, so
+    each value still equals a direct solve.  A failure at any point cancels
+    the points not yet started and is re-raised with its detuning attached.
     """
     workers = worker_count()  # a bad NIT_SIM_THREADS fails before any assembly
-    if not systems:
+    shifts = [float(d) for d in grid]
+    if not shifts:
         return np.empty((len(operators), 0), dtype=complex)
-    base = replace(systems[0], delta_p=0.0)
-    if any(replace(s, delta_p=0.0) != base for s in systems):
-        raise DomainError("master-equation points must differ only in delta_p")
+    base = replace(base, delta_p=0.0)
     liou = build_liouvillian(base, spec)
     liou.pieces  # built here, before the workers share the generator
 
     symmetric = (base.delta_b_offset == 0 and base.delta_q_offset == 0
                  and base.epsilon.imag == 0)
-    where = {s.delta_p: i for i, s in enumerate(systems) if symmetric and s.delta_p < 0}
+    where = {d: i for i, d in enumerate(shifts) if symmetric and d < 0}
     # solved point -> the point at its negation, built from its state
-    partner = {where[-s.delta_p]: j for j, s in enumerate(systems) if -s.delta_p in where}
+    partner = {where[-d]: j for j, d in enumerate(shifts) if -d in where}
     mirrored = set(partner.values())
-    tasks = [i for i in range(len(systems)) if i not in mirrored]
+    tasks = [i for i in range(len(shifts)) if i not in mirrored]
     log.debug("quantum_expectations: %d points, %d solves, %d mirrored",
-              len(systems), len(tasks), len(partner))
-    out = [None] * len(systems)
+              len(shifts), len(tasks), len(partner))
+    out = [None] * len(shifts)
 
     def solve_point(i: int) -> None:
-        d = systems[i].delta_p
+        d = shifts[i]
         try:
             rho = steady_state_dm(liou, shift=d)
             out[i] = [expectation(op, rho) for op in operators]
@@ -147,37 +153,24 @@ def quantum_expectations(systems, spec: HilbertSpec, operators) -> np.ndarray:
     return np.array(out, dtype=complex).T
 
 
-def stationary_a(systems, backend: str, spec: HilbertSpec | None = None) -> np.ndarray:
-    """Stationary <a> at each point by one backend; ``spec`` is the quantum
-    truncation, which only the quantum backend reads and requires."""
-    if backend == "analytic":
-        return np.array([steady_state(s).a for s in systems], dtype=complex)
-    if backend == "meanfield":
-        # relax_many reports the offending detuning itself on failure
-        return relax_many(systems)[0]
-    return quantum_expectations(systems, spec, [build_operators(spec).a])[0]
-
-
 def sweep(cfg: SweepConfig) -> Spectrum:
     """Evaluate the stationary <a> over the configured grid.
 
     A failure at any single point aborts the sweep, re-raised with the
     offending detuning attached.
     """
-    grid, systems = sweep_points(cfg)
-    a_vals = stationary_a(systems, cfg.backend, cfg.quantum_spec)
-
-    out = Spectrum(
-        detunings=grid,
-        a_re=a_vals.real.copy(),
-        a_im=a_vals.imag.copy(),
-        absorption=-a_vals.imag,
-        backend=cfg.backend,
-        params=normalize(cfg.base),
-    )
-    for arr in (out.detunings, out.a_re, out.a_im, out.absorption):
-        arr.flags.writeable = False
-    return out
+    base = normalize(cfg.base)
+    grid = detuning_grid(cfg.delta_min, cfg.delta_max, cfg.n_points)
+    if cfg.backend == "quantum":
+        spec = cfg.quantum_spec
+        a = quantum_expectations(base, grid, spec, [build_operators(spec).a])[0]
+    else:
+        systems = [replace(base, delta_p=float(d)) for d in grid]
+        if cfg.backend == "analytic":
+            a = np.array([steady_state(s).a for s in systems], dtype=complex)
+        else:  # relax_many reports the offending detuning itself on failure
+            a = relax_many(systems)[0]
+    return Spectrum(grid, a, cfg.backend, base)
 
 
 def csv_text(header: str, rows) -> str:
@@ -320,7 +313,5 @@ def dephasing_scan(base: SystemParams, gamma_phi_values) -> np.ndarray:
             f"delta_p = 0); got lam={norm.lam!r}, g={norm.g!r}",
             stacklevel=2,
         )
-    systems = [
-        replace(norm, delta_p=0.0, gamma_phi=float(gph)) for gph in gamma_phi_values
-    ]
-    return -stationary_a(systems, "analytic").imag
+    systems = [replace(norm, delta_p=0.0, gamma_phi=float(gph)) for gph in gamma_phi_values]
+    return -np.array([steady_state(s).a for s in systems], dtype=complex).imag

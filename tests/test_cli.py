@@ -378,6 +378,55 @@ class TestOtherCommands:
         lamb = [w for w in caught if "Lamb-Dicke" in str(w.message)]
         assert len(lamb) == 1
 
+    @pytest.mark.parametrize("target", [0.05, 0.212, 0.5])
+    def test_derive_coupling_reports_the_debye_waller_factor(self, tmp_path, target):
+        """debye_waller is |<0| exp(i eta (b + b^dag)) |1>| / eta, the factor by
+        which the n = 1 -> 0 sideband coupling falls short of eta * Omega."""
+        import numpy as np
+        from scipy.linalg import expm
+
+        k_l = 29292239.194310427 * target / 0.06222317390287065
+        text = DERIVE_CFG.replace("k_l = 29292239.194310427", f"k_l = {k_l!r}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # eta >= 0.1 warns
+            code, out = run_cli(tmp_path, text, "derive-coupling")
+        assert code == 0
+        result = json.loads((out / "couplings.json").read_text())
+        eta = result["eta"]
+        assert eta == pytest.approx(target, rel=1e-12)
+        b = np.diag(np.sqrt(np.arange(1.0, 60.0)), 1)  # 60 Fock levels
+        element = expm(1j * eta * (b + b.T))[0, 1]
+        assert abs(element) / eta == pytest.approx(result["debye_waller"], rel=0, abs=1e-12)
+        assert result["g_rel_shift"] == pytest.approx(1.0 - result["debye_waller"], rel=1e-12)
+        run = json.loads((out / "run.json").read_text())["couplings"]
+        assert run["debye_waller"] == result["debye_waller"]
+        assert run["g_rel_shift"] == result["g_rel_shift"]
+
+    @pytest.mark.parametrize(
+        "physical, message",
+        [
+            ({"d": "1e-300"}, r"lambda comes out zero or not finite at d=1e-300, "),
+            ({"m": "1e-320"}, r"lambda comes out zero or not finite at .*, m=1e-320, "),
+            ({"k_l": "1e300", "Omega": "1e20"},
+             r"g comes out zero or not finite at k_l=1e\+300, .*, Omega=1e\+20"),
+        ],
+        ids=["gap-cubed-underflows", "mass-product-underflows", "g-overflows"],
+    )
+    def test_derive_coupling_out_of_double_range_exits_2(
+        self, tmp_path, capsys, physical, message
+    ):
+        """A device whose lambda, eta or g is no positive finite double is a
+        config error, not a traceback or a null in couplings.json."""
+        text = DERIVE_CFG
+        for key, value in physical.items():
+            text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # k_l = 1e300 warns about eta
+            code, out = run_cli(tmp_path, text, "derive-coupling")
+        assert code == 2
+        assert re.match("config error: " + message, capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestCommandLine:
     @pytest.mark.parametrize("command", config.COMMANDS)
@@ -490,21 +539,30 @@ class TestFailureModes:
 
     def test_computed_state_that_is_no_density_matrix_exits_3(self, tmp_path, capsys):
         """At epsilon = 1e150 the LU state meets its residual bound with a
-        trace far from 1: the solver failed, so exit 3 at a named detuning.
-        BiCGSTAB's inner products overflow on the way (ROADMAP item 18), and
-        their warnings go to stderr as in a plain run."""
+        trace far from 1: the solver failed, so exit 3 at a named detuning."""
         huge = QUANTUM_SWEEP_CFG.replace("n_points = 3", "n_points = 2") \
                                 .replace("n_a = 3\nn_b = 3", "n_a = 2\nn_b = 2") \
                                 .replace("delta_min = -1.5", "delta_min = 0") \
                                 .replace("lambda = 0.5", "lambda = 1") \
                                 .replace("g = 0.5", "g = 1") \
                                 .replace("epsilon = 0.03", "epsilon = 1e150")
-        with warnings.catch_warnings(record=True):
-            warnings.simplefilter("always")
-            code, out = run_cli(tmp_path, huge, "sweep")
+        code, out = run_cli(tmp_path, huge, "sweep")
         err = capsys.readouterr().err
         assert code == 3
         assert re.match(r"numerical error: at delta_p=[-\d.e+]+: trace .* differs from 1", err)
+        assert not out.exists()
+
+    def test_huge_drive_quantum_sweep_exits_3_without_warnings(self, tmp_path, capsys):
+        """At epsilon = 1e200 BiCGSTAB, the LU solve and the residual norm
+        overflow; the residual check fails the first point, and no
+        RuntimeWarning, an error under this suite's filters, escapes."""
+        huge = QUANTUM_SWEEP_CFG.replace("n_a = 3\nn_b = 3", "n_a = 2\nn_b = 2") \
+                                .replace("lambda = 0.5", "lambda = 1") \
+                                .replace("g = 0.5", "g = 1") \
+                                .replace("epsilon = 0.03", "epsilon = 1e200")
+        code, out = run_cli(tmp_path, huge, "sweep")
+        assert code == 3
+        assert "numerical error: at delta_p=-1.5: steady-state residual" in capsys.readouterr().err
         assert not out.exists()
 
     def test_failed_validation_exit_code(self, tmp_path, capsys):
@@ -661,28 +719,72 @@ def closed_form_runs(draw) -> tuple[str, str, str]:
     return "sweep", f"[run]\ncommand = sweep\n\n{system}\n[sweep]\n{grid}", "csv,json,svg"
 
 
+@st.composite
+def quantum_sweep_runs(draw) -> str:
+    """A 3-point master-equation sweep at (2, 2), its drive and bounds drawn
+    as ``closed_form_runs`` draws them."""
+    system = SYSTEM_BLOCK.replace("epsilon = 0.03", f"epsilon = {draw(_LOG_UNIFORM)!r}")
+    lo, hi = sorted(draw(st.lists(_LOG_UNIFORM, min_size=2, max_size=2, unique=True)))
+    grid = f"delta_min = {lo!r}\ndelta_max = {hi!r}\nn_points = 3\n"
+    quantum = "backend = quantum\nn_a = 2\nn_b = 2\n"
+    return f"[run]\ncommand = sweep\n\n{system}\n[sweep]\n{grid}{quantum}"
+
+
+# 10^x with x uniform in [-323, 308]: the positive doubles up to 1e308
+_POSITIVE = st.floats(-323.0, 308.0).map(lambda x: 10.0**x)
+
+
+@st.composite
+def derive_coupling_runs(draw) -> str:
+    """DERIVE_CFG with every [physical] value drawn from ``_POSITIVE``."""
+    text = DERIVE_CFG
+    for key in ("d", "V0", "C0", "M", "m", "omega", "nu", "k_l", "Omega"):
+        text = re.sub(rf"^{key} = .*$", f"{key} = {draw(_POSITIVE)!r}", text, flags=re.M)
+    return text
+
+
+def documented_exit(command: str, text: str, formats: str) -> list:
+    """Run ``command`` on ``text`` and check that it ends in exit 0, 2 or 3
+    with nothing raised, that a failed run leaves no output directory, and
+    that a run that passes lists exactly the files it wrote, with every
+    number of its results finite.  Returns the warnings it raised."""
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run_cli(Path(tmp), text, command, "--format", formats)
+        assert code in (0, 2, 3)
+        if code:
+            assert not out.exists()
+            return caught
+        listed = json.loads((out / "run.json").read_text())["outputs"]
+        assert sorted(p.name for p in out.iterdir()) == sorted([*listed, "run.json"])
+        if command == "sweep":
+            values = [v for row in csv_rows(out / "spectrum.csv")[1:] for v in row.split(",")]
+        else:
+            result = {"steady": "steady.json", "derive-coupling": "couplings.json"}[command]
+            values = list(json.loads((out / result).read_text()).values())
+        assert all(v is not None and math.isfinite(float(v)) for v in values)
+    return caught
+
+
+def runtime_warnings(caught: list) -> list[str]:
+    return [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 class TestNoTraceback:
     @settings(max_examples=300, deadline=None)
     @given(run=closed_form_runs())
     def test_every_closed_form_config_ends_in_a_documented_exit(self, run):
-        """Exit 0, 2 or 3 and nothing raised; a failed run leaves no output
-        directory, and a run that passes lists exactly the files it wrote,
-        with every amplitude finite."""
-        command, text, formats = run
-        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True):
-            warnings.simplefilter("always")
-            code, out = run_cli(Path(tmp), text, command, "--format", formats)
-            assert code in (0, 2, 3)
-            if code:
-                assert not out.exists()
-                return
-            listed = json.loads((out / "run.json").read_text())["outputs"]
-            assert sorted(p.name for p in out.iterdir()) == sorted([*listed, "run.json"])
-            if command == "steady":
-                values = list(json.loads((out / "steady.json").read_text()).values())
-            else:
-                values = [v for row in csv_rows(out / "spectrum.csv")[1:] for v in row.split(",")]
-            assert all(v is not None and math.isfinite(float(v)) for v in values)
+        documented_exit(*run)
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=quantum_sweep_runs())
+    def test_every_master_equation_sweep_ends_in_a_documented_exit(self, text):
+        assert runtime_warnings(documented_exit("sweep", text, "csv,json,svg")) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=derive_coupling_runs())
+    def test_every_device_ends_in_a_documented_exit(self, text):
+        assert runtime_warnings(documented_exit("derive-coupling", text, "json")) == []
 
 
 _COLD_PROBE = """\

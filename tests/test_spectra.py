@@ -40,7 +40,6 @@ from nit_sim.spectra import (
     CSV_HEADER,
     MIN_WINDOW_POINTS,
     quantum_expectations,
-    stationary_a,
     worker_count,
 )
 
@@ -89,7 +88,7 @@ class TestWorkerCount:
         monkeypatch.setattr(spectra, "build_liouvillian", unselected_build)
         spec = HilbertSpec(2, 2)
         with pytest.raises(ConfigError, match="NIT_SIM_THREADS"):
-            quantum_expectations([weak_drive_system()], spec, [build_operators(spec).a])
+            quantum_expectations(weak_drive_system(), [0.0], spec, [build_operators(spec).a])
 
 
 def unselected_build(*args, **kwargs):
@@ -116,8 +115,9 @@ class TestSweep:
 
     def test_arrays_are_frozen(self):
         spectrum = sweep(matched_sweep(61))
-        with pytest.raises(ValueError):
-            spectrum.absorption[0] = 1.0
+        for name in ("detunings", "a", "a_re", "a_im", "absorption"):
+            with pytest.raises(ValueError):
+                getattr(spectrum, name)[0] = 1.0
 
     def test_backends_agree_on_a_coarse_grid(self):
         cfg_a = matched_sweep(51)
@@ -236,26 +236,13 @@ class TestSweep:
                           backend="quantum", quantum_spec=HilbertSpec(3, 3)))
         assert builders == [threading.current_thread()]
 
-    def test_quantum_points_share_all_but_the_detuning(self):
-        spec = HilbertSpec(2, 2)
-        a_op = build_operators(spec).a
-        points = [weak_drive_system(delta_p=0.3), weak_drive_system(gamma=0.2)]
-        with pytest.raises(DomainError, match="only in delta_p"):
-            quantum_expectations(points, spec, [a_op])
-
-    @pytest.mark.parametrize("backend", ["analytic", "meanfield", "quantum"])
-    def test_no_points_give_an_empty_result(self, backend):
-        """The quantum backend once raised IndexError on an empty list."""
-        a = stationary_a([], backend, HilbertSpec(2, 2))
-        assert a.shape == (0,) and a.dtype == complex
-
     def test_no_points_build_no_generator(self, monkeypatch):
         def must_not_build(*args):
             raise AssertionError("generator built for an empty point list")
 
         monkeypatch.setattr(spectra, "build_liouvillian", must_not_build)
         ops = build_operators(HilbertSpec(2, 2))
-        vals = quantum_expectations([], HilbertSpec(2, 2), [ops.a, ops.b])
+        vals = quantum_expectations(weak_drive_system(), [], HilbertSpec(2, 2), [ops.a, ops.b])
         assert vals.shape == (2, 0) and vals.dtype == complex
 
     def test_backends_look_up_their_solvers_at_call_time(self, monkeypatch):
@@ -305,7 +292,7 @@ class TestMirroredPoints:
         monkeypatch.setattr(spectra, "steady_state_dm", recording)
         o = build_operators(spec)
         ops = [o.a, o.b, o.b @ o.sigma_z, o.sigma_minus]
-        got = quantum_expectations([replace(base, delta_p=float(d)) for d in grid], spec, ops)
+        got = quantum_expectations(base, grid, spec, ops)
         solved = dict(calls)
         liou = build_liouvillian(base, spec)
         rhos = [solved.get(d) or steady_state_dm(liou, shift=float(d)) for d in grid]
@@ -356,9 +343,9 @@ class TestMirroredPoints:
 
     def test_logs_points_solves_and_mirrored(self, caplog):
         spec = HilbertSpec(3, 3)
-        systems = [weak_drive_system(delta_p=float(d)) for d in detuning_grid(-1.0, 1.0, 5)]
+        grid = detuning_grid(-1.0, 1.0, 5)
         with caplog.at_level(logging.DEBUG, logger="nit_sim.spectra"):
-            quantum_expectations(systems, spec, [build_operators(spec).a])
+            quantum_expectations(weak_drive_system(), grid, spec, [build_operators(spec).a])
         assert "quantum_expectations: 5 points, 3 solves, 2 mirrored" in caplog.messages
 
 
