@@ -38,7 +38,7 @@ from .config import (
     render_config,
 )
 from .errors import ConfigError, DomainError, NumericalError
-from .model import PhysicalParams, SweepConfig, _derived, derive_lambda, lamb_dicke
+from .model import SweepConfig, _derived, derive_lambda, lamb_dicke
 from .svgplot import emit_svg
 
 # numpy, meanfield, quantum and spectra are imported by the handlers that
@@ -235,8 +235,7 @@ def _cmd_validate(cfg: RunConfig) -> tuple[dict, bool, dict]:
 
 
 def _cmd_derive_coupling(cfg: RunConfig) -> tuple[dict, bool, dict]:
-    p: PhysicalParams = cfg.physical
-    ka = cfg.kappa_a_input  # rad/s; parse_config guarantees SI units here
+    p, ka = cfg.physical, cfg.kappa_a_input  # ka in rad/s: parse_config guarantees SI units
     lam_si = derive_lambda(p)
     eta = lamb_dicke(p)
     g_si = _derived("g", eta * p.Omega, p, "k_l m nu Omega")
@@ -246,20 +245,21 @@ def _cmd_derive_coupling(cfg: RunConfig) -> tuple[dict, bool, dict]:
         "kappa_a_rad_s": ka,
         "lambda_rad_s": lam_si,
         "lambda_hz": lam_si / TWO_PI,
-        "lambda_over_kappa_a": lam_si / ka,
+        # a tiny kappa_a can overflow the ratios of finite couplings
+        "lambda_over_kappa_a": _derived("lambda_over_kappa_a", lam_si / ka, cfg, "kappa_a_input"),
         "eta": eta,
         "g_rad_s": g_si,
         "g_hz": g_si / TWO_PI,
-        "g_over_kappa_a": g_si / ka,
+        "g_over_kappa_a": _derived("g_over_kappa_a", g_si / ka, cfg, "kappa_a_input"),
         "debye_waller": debye_waller,
         "g_rel_shift": -math.expm1(-0.5 * eta * eta),
     }
     print("derived couplings")
     print(f"  lambda = {lam_si:.6e} rad/s = {lam_si / TWO_PI:.6e} Hz"
-          f" = {lam_si / ka:.6g} kappa_a")
+          f" = {result['lambda_over_kappa_a']:.6g} kappa_a")
     print(f"  eta    = {eta:.6g}")
     print(f"  g      = {g_si:.6e} rad/s = {g_si / TWO_PI:.6e} Hz"
-          f" = {g_si / ka:.6g} kappa_a")
+          f" = {result['g_over_kappa_a']:.6g} kappa_a")
     print(f"  Debye-Waller exp(-eta^2/2) = {debye_waller:.6g}: g overstates the"
           f" 1 -> 0 sideband coupling by {result['g_rel_shift']:.3g}")
     return {"couplings": result}, True, {"couplings.json": result}

@@ -73,16 +73,26 @@ class OperatorSet:
 
 
 @lru_cache(maxsize=None)
+def _basis(spec: HilbertSpec) -> np.ndarray:
+    """Basis table, built once per truncation: rows q, i, j and n = q + i + j
+    of each state (q, i, j) of qubit, mode a and mode b, which sits at basis
+    index k = (q*n_a + i)*n_b + j.  Read-only: every caller shares it."""
+    q, i, j = np.indices((2, spec.n_a, spec.n_b)).reshape(3, -1)
+    table = np.stack((q, i, j, q + i + j))
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
 def build_operators(spec: HilbertSpec) -> OperatorSet:
     """Embedded single-subsystem operators, built once per truncation.
 
-    State (q, i, j) of qubit, mode a and mode b sits at basis index
-    k = (q*n_a + i)*n_b + j.  Each operator moves state k to k - step with
+    Each operator moves basis state k (see ``_basis``) to k - step with
     amplitude amp[k] and stores no zeros.
     """
     import scipy.sparse as sp
 
-    q, i, j = np.indices((2, spec.n_a, spec.n_b)).reshape(3, -1)
+    q, i, j, _ = _basis(spec)
 
     def op(amp, step):
         src = np.flatnonzero(amp)
@@ -97,6 +107,11 @@ def build_operators(spec: HilbertSpec) -> OperatorSet:
     )
 
 
+def _entries(m: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of the stored entries of a csr matrix."""
+    return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)), m.indices, m.data
+
+
 def build_hamiltonian(sys: SystemParams, spec: HilbertSpec) -> sp.csr_matrix:
     """Driven rotating-frame Hamiltonian on the truncated space.
 
@@ -105,30 +120,32 @@ def build_hamiltonian(sys: SystemParams, spec: HilbertSpec) -> sp.csr_matrix:
 
     with Da = delta_p, Db = delta_p + delta_b_offset,
     Dq = delta_p + delta_q_offset.
+
+    Each entry is placed by index arithmetic and formed from the amplitudes
+    of the ``build_operators`` operators in the order in which the scipy
+    sum of those terms forms it.  Like that sum, H stores no exact zero and
+    no negative zero, so it equals the sum byte for byte.
     """
-    ops = build_operators(spec)
-    a, b, sm, sz = ops.a, ops.b, ops.sigma_minus, ops.sigma_z
-    adag, bdag, splus = a.conj().T, b.conj().T, sm.conj().T
+    import scipy.sparse as sp
 
-    da = sys.delta_p
-    db = sys.delta_p + sys.delta_b_offset
-    dq = sys.delta_p + sys.delta_q_offset
-    eps = sys.epsilon
+    ops, nb, nab = build_operators(spec), spec.n_b, spec.n_a * spec.n_b
+    ra, rb, rm, sz = np.zeros((4, spec.dim), dtype=complex)
+    for amp, op in zip((ra, rb, rm, sz), (ops.a, ops.b, ops.sigma_minus, ops.sigma_z)):
+        amp[op.indices] = op.data  # its one entry in each column, 0 where there is none
+    da, db, dq = sys.delta_p, sys.delta_p + sys.delta_b_offset, sys.delta_p + sys.delta_q_offset
 
-    h = (
-        0.5 * dq * sz
-        + da * (adag @ a)
-        + db * (bdag @ b)
-        - sys.lam * (a @ bdag + b @ adag)
-        + sys.g * (splus @ b + sm @ bdag)
-        + eps * adag + np.conj(eps) * a
-    ).tocsr()
+    # a b' (and its transpose b a') and s- b' (s+ b) pass through state k
+    # where both amplitudes are nonzero, a (a') lowers k where a's is
+    ab, sb, k = (np.flatnonzero(amp) for amp in (ra * rb, rm * rb, ra))
+    m = np.diag(((0.5 * dq) * sz + da * (ra * ra)) + db * (rb * rb))
+    m[ab - nb, ab - 1] = m[ab - 1, ab - nb] = -(sys.lam * (ra * rb)[ab])
+    m[sb - nab, sb - 1] = m[sb - 1, sb - nab] = sys.g * (rm * rb)[sb]
+    m[k - nb, k], m[k, k - nb] = np.conj(sys.epsilon) * ra[k], sys.epsilon * ra[k]
 
-    defect = abs(h - h.conj().T).max()
-    scale = max(abs(h).max(), 1.0)
+    defect, scale = np.abs(m - m.conj().T).max(), max(np.abs(m).max(), 1.0)
     if defect > 1e-12 * scale:
         raise SolverError(f"assembled Hamiltonian not hermitian: defect {defect:.3e}")
-    return h
+    return sp.csr_matrix(m + 0.0)  # x + 0 turns -0.0 into 0.0, as the sum does
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,42 +192,41 @@ def build_liouvillian(sys: SystemParams, spec: HilbertSpec) -> Liouvillian:
     """
     import scipy.sparse as sp
 
-    ops = build_operators(spec)
-    h = build_hamiltonian(sys, spec)
-    d, n = spec.dim, np.int64(spec.dim) ** 2
+    ops, h = build_operators(spec), build_hamiltonian(sys, spec)
+    d, n, ident = spec.dim, spec.dim**2, _entries(ops.identity)
 
-    def kron(x, y, scale):  # row * n + col and value of each entry of scale * kron(x, y)
-        (xr, xc, xv), (yr, yc, yv) = sp.find(x), sp.find(y)
-        key = (yr + d * xr[:, None]) * n + yc + d * xc[:, None]
-        return key.ravel(), (scale * np.multiply.outer(xv, yv)).ravel()
+    # rows, columns and values of the entries of scale * kron(x, y), from
+    # those of x and y
+    def kron(xr, xc, xv, yr, yc, yv, scale):
+        return ((yr + d * xr[:, None]).ravel(), (yc + d * xc[:, None]).ravel(),
+                (scale * np.multiply.outer(xv, yv)).ravel())
 
-    k_diag, k_off = h.diagonal(), h - sp.diags(h.diagonal())
+    rows, cols, vals = _entries(h)
+    k_diag, k_off = h.diagonal(), [x[rows != cols] for x in (rows, cols, vals)]
     # -i S(K, I) + i S(I, K^dag) off the diagonal, then sum_k 2 c_k S(B_k, B_k^dag)
-    terms = [kron(ops.identity, k_off, -1j), kron(k_off.conj(), ops.identity, 1j)]
-    channels = ((0.5 * sys.gamma, ops.sigma_minus), (0.25 * sys.gamma_phi, ops.sigma_z),
-                (0.5 * sys.kappa_a, ops.a), (0.5 * sys.kappa_b, ops.b))
-    for rate, op in channels:
-        if rate == 0.0:
-            continue
-        k_diag = k_diag - 1j * rate * (op.conj().T @ op).diagonal()
-        terms.append(kron(op.conj(), op, 2.0 * rate))
+    terms = [kron(*ident, *k_off, -1j), kron(*k_off[:2], k_off[2].conj(), *ident, 1j)]
+    for rate, op in ((0.5 * sys.gamma, ops.sigma_minus), (0.25 * sys.gamma_phi, ops.sigma_z),
+                     (0.5 * sys.kappa_a, ops.a), (0.5 * sys.kappa_b, ops.b)):
+        if rate:  # B_k^dag B_k is diagonal, with one product per column
+            r, c, v = _entries(op)
+            k_diag[c] -= 1j * rate * (v.conj() * v)
+            terms.append(kron(r, c, v.conj(), r, c, v, 2.0 * rate))
     on_diag = (-1j * k_diag + (1j * k_diag.conj())[:, None]).ravel()
-    keys, values = [np.arange(n) * (n + 1)], [on_diag]
+    parts = [(np.arange(n), np.arange(n), on_diag)]
     # each place of the coo below is filled once, so the csr that Liouvillian
     # makes of it has no duplicates to sum and arrays exactly nnz long
-    for key, value in terms:
-        diagonal = key % (n + 1) == 0  # sigma_z's jump only
-        on_diag[key[diagonal] // (n + 1)] += value[diagonal]
-        keys.append(key[~diagonal])
-        values.append(value[~diagonal])
-    key = np.concatenate(keys)
-    gen = sp.coo_matrix((np.concatenate(values), (key // n, key % n)), shape=(n, n))
-    liou = Liouvillian(gen, spec)
+    for r, c, v in terms:
+        diagonal = r == c  # sigma_z's jump only
+        on_diag[r[diagonal]] += v[diagonal]
+        parts.append((r[~diagonal], c[~diagonal], v[~diagonal]))
+    r, c, v = (np.concatenate(x) for x in zip(*parts))
+    liou = Liouvillian(sp.coo_matrix((v, (r, c)), shape=(n, n)), spec)
     if not np.isfinite(liou.matrix.data).all():
         raise DomainError("the master-equation generator overflows a double")
-    # the trace functional applied to every column of the generator
+    # the trace functional applied to every column of the generator, held to
+    # the generator's scale, as the residual is (``_threshold``)
     defect = float(np.max(np.abs(_trace_row(spec.dim) @ liou.matrix)))
-    if defect > 1e-10:
+    if defect > TRACE_TOL * float(np.abs(liou.matrix.data).max()):
         raise SolverError(f"generator does not preserve trace: defect {defect:.3e}")
     return liou
 
@@ -314,8 +330,7 @@ def _build_pieces(matrix: sp.csr_matrix, spec: HilbertSpec) -> _Pieces:
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    q, na, nb = np.indices((2, spec.n_a, spec.n_b)).reshape(3, -1)
-    n = q + na + nb
+    q, na, nb, n = _basis(spec)
     j, i = np.indices((spec.dim, spec.dim)).reshape(2, -1)  # |i><j| at vec index j*dim + i
     coherence = n[i] - n[j]
     run = np.sign(coherence) % 3  # 0 for m = 0, 1 for m > 0, 2 for m < 0
@@ -327,9 +342,9 @@ def _build_pieces(matrix: sp.csr_matrix, spec: HilbertSpec) -> _Pieces:
     a = at[order[1:]][:, order[1:]]  # positions in L.data of the unknowns' entries
     a.sort_indices()
     rhs = -matrix[:, [0]].toarray().ravel()[order[1:]]  # minus the vacuum column
-    rows = np.repeat(np.arange(order.size), np.diff(matrix.indptr))
-    diag = np.flatnonzero(rows == matrix.indices)
-    same = (coherence[rows] == coherence[matrix.indices])[a.data]
+    rows, cols, _ = _entries(matrix)
+    diag = np.flatnonzero(rows == cols)
+    same = (coherence[rows] == coherence[cols])[a.data]
     indptr = np.concatenate(([0], np.cumsum(same)))[a.indptr]
     pre = sp.csr_matrix((a.data[same], a.indices[same], indptr), shape=a.shape)  # keeps m
 
@@ -538,8 +553,7 @@ def mirror_dm(liou: Liouvillian, rho: DensityMatrix, shift: float) -> DensityMat
     result is held to the residual bound of ``steady_state_dm`` at ``shift``,
     which also rejects a generator the identity does not hold for.
     """
-    q, na, _ = np.indices((2, liou.spec.n_a, liou.spec.n_b)).reshape(3, -1)
-    u = 1.0 - 2.0 * ((q + na) % 2)
+    u = 1.0 - 2.0 * (_basis(liou.spec)[:2].sum(axis=0) % 2)  # (-1)^(qubit + n_a)
     out = DensityMatrix(np.outer(u, u) * rho.matrix.conj())
     m = _shifted(liou, shift)
     _certify(m, _vec(out.matrix), _threshold(m))

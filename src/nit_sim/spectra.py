@@ -3,10 +3,11 @@
 A sweep evaluates the stationary driven-mode amplitude on a uniform detuning
 grid with one of three backends (closed form, mean-field relaxation, full
 master equation) and reports both quadratures plus the absorption
-A = -Im<a>.  Points are independent.  The quantum backend solves them on a
-pool of NIT_SIM_THREADS workers (default 1; the pool runs at every count),
-which can change wall time but never values; the workers share one
-generator, assembled once per sweep: a detuning only shifts its diagonal.
+A = -Im<a>.  Points are independent.  The quantum backend solves them on
+NIT_SIM_THREADS workers (default 1, which solves on the calling thread; a
+larger count starts a thread pool), which can change wall time but never
+values; the workers share one generator, assembled once per sweep: a
+detuning only shifts its diagonal.
 With both offsets zero and a real drive it solves only one point of each
 mirror pair (d, -d) and builds the other by the exact conjugation symmetry
 of the master equation (see ``quantum_expectations``).
@@ -106,12 +107,13 @@ def quantum_expectations(base: SystemParams, grid, spec: HilbertSpec, operators)
     each detuning of ``grid``, as a (len(operators), len(grid)) array.
 
     The generator is assembled once, at delta_p = 0, and each point is
-    solved as its detuning's shift of it (see ``steady_state_dm``) on
-    NIT_SIM_THREADS workers that share it.  With both offsets zero and a
-    real drive, a point d > 0 whose exact negation -d is also a point is not
-    solved: the worker that solves -d builds its state as ``mirror_dm`` of
-    that solution, which is exact, so the values are those of a direct
-    solve to the last bit.  The solved points are submitted in grid order.
+    solved as its detuning's shift of it (see ``steady_state_dm``): on the
+    calling thread for one worker, else on a pool of NIT_SIM_THREADS workers
+    that share it.  With both offsets zero and a real drive, a point d > 0
+    whose exact negation -d is also a point is not solved: the worker that
+    solves -d builds its state as ``mirror_dm`` of that solution, which is
+    exact, so the values are those of a direct solve to the last bit.  The
+    solved points are taken in grid order.
     A detuning grid never repeats a point; if ``grid`` does, the last point
     at -d is paired with the last at d and every other copy is solved, so
     each value still equals a direct solve.  A failure at any point cancels
@@ -125,13 +127,11 @@ def quantum_expectations(base: SystemParams, grid, spec: HilbertSpec, operators)
     liou = build_liouvillian(base, spec)
     liou.pieces  # built here, before the workers share the generator
 
-    symmetric = (base.delta_b_offset == 0 and base.delta_q_offset == 0
-                 and base.epsilon.imag == 0)
+    symmetric = base.delta_b_offset == 0 and base.delta_q_offset == 0 and base.epsilon.imag == 0
     where = {d: i for i, d in enumerate(shifts) if symmetric and d < 0}
     # solved point -> the point at its negation, built from its state
     partner = {where[-d]: j for j, d in enumerate(shifts) if -d in where}
-    mirrored = set(partner.values())
-    tasks = [i for i in range(len(shifts)) if i not in mirrored]
+    tasks = sorted(set(range(len(shifts))) - set(partner.values()))
     log.debug("quantum_expectations: %d points, %d solves, %d mirrored",
               len(shifts), len(tasks), len(partner))
     out = [None] * len(shifts)
@@ -148,8 +148,12 @@ def quantum_expectations(base: SystemParams, grid, spec: HilbertSpec, operators)
         except NumericalError as exc:
             raise exc.__class__(f"at delta_p={d!r}: {exc}") from exc
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(solve_point, tasks))
+    if workers == 1:  # on the calling thread: a pool would only add its start-up cost
+        for i in tasks:
+            solve_point(i)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(solve_point, tasks))
     return np.array(out, dtype=complex).T
 
 

@@ -409,14 +409,21 @@ class TestOtherCommands:
             ({"m": "1e-320"}, r"lambda comes out zero or not finite at .*, m=1e-320, "),
             ({"k_l": "1e300", "Omega": "1e20"},
              r"g comes out zero or not finite at k_l=1e\+300, .*, Omega=1e\+20"),
+            # [system] rates normalize to finite values, but lambda/kappa_a
+            # and g/kappa_a of the device overflow
+            ({"lambda": "0", "g": "0", "epsilon": "0", "kappa_a": "1e-310",
+              "kappa_b": "1e-310", "gamma": "1e-310", "gamma_phi": "1e-310"},
+             r"lambda_over_kappa_a comes out zero or not finite at kappa_a_input=1e-310$"),
         ],
-        ids=["gap-cubed-underflows", "mass-product-underflows", "g-overflows"],
+        ids=["gap-cubed-underflows", "mass-product-underflows", "g-overflows",
+             "ratio-overflows"],
     )
     def test_derive_coupling_out_of_double_range_exits_2(
         self, tmp_path, capsys, physical, message
     ):
-        """A device whose lambda, eta or g is no positive finite double is a
-        config error, not a traceback or a null in couplings.json."""
+        """A device whose lambda, eta or g, or lambda or g over kappa_a, is no
+        positive finite double is a config error, not a traceback or a null
+        in couplings.json."""
         text = DERIVE_CFG
         for key, value in physical.items():
             text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)

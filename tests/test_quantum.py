@@ -74,12 +74,32 @@ def vacuum_fixed(liou: Liouvillian, m: sp.csr_matrix):
     return a, pre, rank[k % dim * dim + k // dim]
 
 
+def scipy_hamiltonian(sys: SystemParams, spec: HilbertSpec) -> sp.csr_matrix:
+    """Reference: H (see ``build_hamiltonian``) as the scipy.sparse sum of
+    its operator terms."""
+    ops = build_operators(spec)
+    a, b, sm, sz = ops.a, ops.b, ops.sigma_minus, ops.sigma_z
+    adag, bdag, splus = a.conj().T, b.conj().T, sm.conj().T
+    da = sys.delta_p
+    db = sys.delta_p + sys.delta_b_offset
+    dq = sys.delta_p + sys.delta_q_offset
+    eps = sys.epsilon
+    return (
+        0.5 * dq * sz
+        + da * (adag @ a)
+        + db * (bdag @ b)
+        - sys.lam * (a @ bdag + b @ adag)
+        + sys.g * (splus @ b + sm @ bdag)
+        + eps * adag + np.conj(eps) * a
+    ).tocsr()
+
+
 def kron_generator(sys: SystemParams, spec: HilbertSpec) -> sp.csr_matrix:
     """Reference: L = -i S(K, I) + i S(I, K^dag) + sum_k 2 c_k S(B_k, B_k^dag)
-    as a sum of kron products, S(A, B) = kron(B^T, A)."""
+    as a sum of kron products, S(A, B) = kron(B^T, A), from the reference H."""
     ops = build_operators(spec)
     ident = ops.identity
-    k = build_hamiltonian(sys, spec)
+    k = scipy_hamiltonian(sys, spec)
     jumps = []
     for rate, op in (
         (0.5 * sys.gamma, ops.sigma_minus),
@@ -115,6 +135,33 @@ def kron_operators(spec: HilbertSpec) -> dict[str, sp.csr_matrix]:
         out[name] = sp.kron(sp.kron(q, fa), fb, format="csr")
         out[name].eliminate_zeros()
     return out
+
+
+def assert_same_bytes(got: sp.csr_matrix, want: sp.csr_matrix, where) -> None:
+    """The two csr matrices store the same arrays, byte for byte."""
+    assert got.shape == want.shape and got.nnz == want.nnz, where
+    for part in ("indptr", "indices", "data"):
+        x, y = getattr(got, part), getattr(want, part)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (where, part)
+
+
+# the systems on which the index-arithmetic assembly must equal the scipy
+# algebra byte for byte, and the truncations it is compared at
+ASSEMBLY_CASES = pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(),
+        dict(epsilon=0.02 - 0.03j, delta_b_offset=0.07, delta_q_offset=-0.05),
+        dict(gamma=0.0, gamma_phi=0.0),
+        dict(kappa_b=0.0),
+        dict(lam=0.0),
+        dict(g=0.0),
+        dict(epsilon=0.0),
+    ],
+    ids=["weak", "complex-drive-offsets", "undamped-qubit", "undamped-mechanics",
+         "lam0", "g0", "eps0"],
+)
+ASSEMBLY_SPECS = (SPEC22, HilbertSpec(3, 2), HilbertSpec(5, 5), HilbertSpec(7, 7))
 
 
 # (n, overrides) of the coherence-order symmetry checks
@@ -233,6 +280,23 @@ class TestHamiltonian:
                     got = h[idx(SPEC44, q, na, nb), idx(SPEC44, q, na, nb)].real
                     assert got == pytest.approx(want, abs=1e-15)
 
+    @ASSEMBLY_CASES
+    def test_index_assembly_equals_the_scipy_sum(self, overrides):
+        sys = weak_drive_system(**overrides)
+        for spec in ASSEMBLY_SPECS:
+            assert_same_bytes(build_hamiltonian(sys, spec), scipy_hamiltonian(sys, spec), spec)
+
+    @pytest.mark.parametrize(
+        "epsilon", [-0.3, complex(-0.0, 0.01), complex(0.0, -0.02), complex(-0.0, -0.0)],
+        ids=["negative", "imaginary", "negative-imaginary", "negative-zero"],
+    )
+    def test_signed_zeros_match_the_scipy_sum(self, epsilon):
+        # conj(eps) * a of a real eps < 0 has an imaginary part -0.0, which
+        # the scipy sum stores as 0.0
+        sys = weak_drive_system(epsilon=epsilon, delta_p=-0.7, delta_q_offset=0.3)
+        for spec in (SPEC22, HilbertSpec(4, 3)):
+            assert_same_bytes(build_hamiltonian(sys, spec), scipy_hamiltonian(sys, spec), spec)
+
     def test_non_hermitian_assembly_is_a_solver_error(self, monkeypatch):
         # a sigma_z with an imaginary diagonal makes (Dq/2) sz anti-hermitian in part
         ops = build_operators(SPEC22)
@@ -309,24 +373,21 @@ class TestLiouvillian:
             )
             assert m.nnz == want_nnz
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            dict(),
-            dict(epsilon=0.02 - 0.03j, delta_b_offset=0.07, delta_q_offset=-0.05),
-            dict(gamma=0.0, gamma_phi=0.0),
-            dict(kappa_b=0.0),
-        ],
-        ids=["weak", "complex-drive-offsets", "undamped-qubit", "undamped-mechanics"],
-    )
+    @ASSEMBLY_CASES
     def test_one_pass_assembly_equals_the_kron_sum(self, overrides):
         sys = weak_drive_system(**overrides)
-        for spec in (SPEC22, HilbertSpec(3, 2), HilbertSpec(5, 5)):
+        for spec in ASSEMBLY_SPECS:
             got = build_liouvillian(sys, spec).matrix
-            want = Liouvillian(kron_generator(sys, spec), spec).matrix
-            assert got.nnz == want.nnz, spec
-            for part in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(got, part), getattr(want, part)), (spec, part)
+            assert_same_bytes(got, Liouvillian(kron_generator(sys, spec), spec).matrix, spec)
+
+    def test_trace_check_is_relative_to_the_generator_scale(self):
+        # at gamma_phi = 1e308 an exact generator's trace defect is rounding
+        # at its scale, far above 1e-10 but far below 1e-10 * max|L|
+        sys = weak_drive_system(gamma_phi=1e308)
+        liou = build_liouvillian(sys, HilbertSpec(3, 3))
+        trace = np.eye(HilbertSpec(3, 3).dim).ravel(order="F")
+        defect = np.abs(trace @ liou.matrix).max()
+        assert 1e-10 < defect <= 1e-10 * np.abs(liou.matrix.data).max()
 
     def test_a_callers_csr_keeps_its_bytes(self):
         # a duplicate, unsorted columns and a missing diagonal: making this

@@ -200,6 +200,31 @@ class TestSweep:
         assert -1.5 in calls
         assert len(calls) <= workers + 1
 
+    def test_one_worker_sweep_starts_no_thread(self, monkeypatch):
+        """One worker solves every point, and builds every mirrored one, on
+        the calling thread, with the bytes of a two-worker pool."""
+        import threading
+
+        cfg = SweepConfig(weak_drive_system(), -1.5, 1.5, 11, backend="quantum",
+                          quantum_spec=HilbertSpec(3, 3))
+        monkeypatch.setenv("NIT_SIM_THREADS", "2")
+        pooled = to_csv_text(sweep(cfg))
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-worker sweep started a thread pool")
+
+        threads = set()
+        for name in ("steady_state_dm", "mirror_dm"):
+            def recording(*args, _fn=getattr(spectra, name), **kwargs):
+                threads.add(threading.current_thread())
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(spectra, name, recording)
+        monkeypatch.setattr(spectra, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setenv("NIT_SIM_THREADS", "1")
+        assert to_csv_text(sweep(cfg)) == pooled
+        assert threads == {threading.current_thread()}
+
     def test_unmirrored_sweep_is_identical_across_thread_counts(self, monkeypatch):
         """Every point is solved, each worker with the one m = 0 factor that
         the shared generator carries."""
